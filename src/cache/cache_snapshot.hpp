@@ -97,12 +97,10 @@ void load_caches(const std::string& path, const SnapshotMeta& expect,
 
 /// Canonical file name of shard `s` inside a snapshot directory — the
 /// sharded session composes one snapshot per shard the same way
-/// ShardedReference composes one IndexedReference per shard.
+/// ShardedReference composes one IndexedReference per shard. This is the
+/// only directory layout: a single index is a 1-shard session and writes
+/// shard-0000.mcache.
 std::string shard_snapshot_path(const std::string& dir, int s);
-
-/// File name the single-index paths (plain AlignSession via the CLI) use
-/// inside a snapshot directory.
-inline constexpr const char* kSessionSnapshotFile = "session.mcache";
 
 // --- raw stream primitives shared by the cache save/load implementations ---
 namespace snapio {

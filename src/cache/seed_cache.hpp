@@ -56,6 +56,15 @@ struct CacheCounters {
     a -= b;
     return a;
   }
+  /// Sum of two caches' activity (e.g. the K shard sessions of one batch).
+  CacheCounters& operator+=(const CacheCounters& o) noexcept {
+    hits += o.hits;
+    misses += o.misses;
+    insertions += o.insertions;
+    evictions += o.evictions;
+    admission_rejects += o.admission_rejects;
+    return *this;
+  }
   friend bool operator==(const CacheCounters&, const CacheCounters&) = default;
 };
 

@@ -47,6 +47,8 @@ struct PipelineStats {
     comm_fetch_s += o.comm_fetch_s;
     return *this;
   }
+  friend bool operator==(const PipelineStats&,
+                         const PipelineStats&) = default;
 
   [[nodiscard]] double aligned_fraction() const noexcept {
     return reads_processed == 0

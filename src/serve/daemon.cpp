@@ -74,11 +74,12 @@ void Daemon::FairGate::release() {
 
 // ---- lifecycle --------------------------------------------------------------
 
-Daemon::Daemon(Backend backend, pgas::Topology topo, DaemonConfig cfg)
-    : backend_(std::move(backend)),
+Daemon::Daemon(shard::ShardedAlignSession session, pgas::Topology topo,
+               DaemonConfig cfg)
+    : session_(std::move(session)),
       rt_(topo),
       cfg_(std::move(cfg)),
-      targets_(backend_.sam_targets()) {
+      targets_(session_.reference().sam_targets()) {
   if (cfg_.socket_path.empty())
     throw std::invalid_argument("Daemon: socket_path must be set");
 }
@@ -106,8 +107,8 @@ void Daemon::start() {
   if (!cfg_.cache_dir.empty() && cfg_.autosave_interval_s > 0.0)
     autosave_thread_ = std::thread([this] { autosave_loop(); });
   obs::Log::info("daemon listening on %s (%d shard%s, %zu targets)",
-                 cfg_.socket_path.c_str(), backend_.num_shards(),
-                 backend_.num_shards() == 1 ? "" : "s", targets_.size());
+                 cfg_.socket_path.c_str(), session_.num_shards(),
+                 session_.num_shards() == 1 ? "" : "s", targets_.size());
 }
 
 void Daemon::request_stop() noexcept {
@@ -145,7 +146,7 @@ void Daemon::wait() {
   if (autosave_thread_.joinable()) autosave_thread_.join();
   if (!cfg_.cache_dir.empty()) {
     try {
-      backend_.save_caches(rt_, cfg_.cache_dir);
+      session_.save_caches(rt_, cfg_.cache_dir);
       obs::Log::info("final cache snapshot saved to %s",
                      cfg_.cache_dir.c_str());
     } catch (const std::exception& e) {
@@ -227,7 +228,7 @@ void Daemon::autosave_loop() {
       // Safe against the serving threads: each cache shard snapshots under
       // its own lock, and the file lands via tmp-then-rename, so neither a
       // concurrent batch nor a crash mid-save can damage the snapshot.
-      backend_.save_caches(rt_, cfg_.cache_dir);
+      session_.save_caches(rt_, cfg_.cache_dir);
       autosaves_.fetch_add(1);
       obs::MetricsRegistry::global()
           .counter("mera_serve_autosaves_total", {},
@@ -373,9 +374,9 @@ void Daemon::handle_batch(Conn& conn, const std::string& tenant,
   // One batch at a time, strict arrival order: the FIFO gate is both the
   // fairness policy and the serialization the session internals require.
   const double waited_s = gate_.acquire();
-  BatchSummary summary;
+  shard::ShardedBatchResult res;
   try {
-    summary = backend_.align_batch(rt_, std::move(reads), sink);
+    res = session_.align_batch(rt_, std::move(reads), sink);
   } catch (...) {
     gate_.release();
     {
@@ -400,10 +401,11 @@ void Daemon::handle_batch(Conn& conn, const std::string& tenant,
     const std::lock_guard lock(stats_mu_);
     TenantStats& t = stats_[tenant];
     ++t.batches;
-    t.reads += summary.stats.reads_processed;
-    t.alignments += summary.stats.alignments_reported;
+    t.reads += res.stats.reads_processed;
+    t.alignments += res.stats.alignments_reported;
     t.sam_bytes += bytes.size();
-    t.align_s += summary.report.total_time_s();
+    t.align_modeled_s += res.total_time_s();
+    t.align_wall_s += res.wall_s;
     t.gate_wait_s += waited_s;
   }
   reg.counter("mera_serve_batches_total", tlabel, "Batches served").inc();
@@ -412,25 +414,25 @@ void Daemon::handle_batch(Conn& conn, const std::string& tenant,
   reg.counter("mera_serve_gate_wait_seconds_total", tlabel,
               "Real seconds batches spent queued behind other tenants")
       .add(waited_s);
-  bridge_tenant_metrics(tenant, summary);
+  bridge_tenant_metrics(tenant, res);
 
   write_frame(conn.fd, FrameType::kSam, bytes);
 }
 
 void Daemon::bridge_tenant_metrics(const std::string& tenant,
-                                   const BatchSummary& summary) {
+                                   const shard::ShardedBatchResult& res) {
   // The PR 7 series, split per tenant: same names, same meanings, one extra
   // label — the unlabelled series keep accumulating process-wide totals
   // inside align_batch, so scrapes can slice either way.
   auto& reg = obs::MetricsRegistry::global();
-  pgas::add_to_metrics(summary.report, {{"tenant", tenant}});
+  pgas::add_to_metrics(res.report, {{"tenant", tenant}});
   const obs::Labels tlabel{{"tenant", tenant}};
   reg.counter("mera_reads_processed_total", tlabel,
               "Reads pushed through align")
-      .add(static_cast<double>(summary.stats.reads_processed));
+      .add(static_cast<double>(res.stats.reads_processed));
   reg.counter("mera_alignments_reported_total", tlabel,
               "Alignment records emitted")
-      .add(static_cast<double>(summary.stats.alignments_reported));
+      .add(static_cast<double>(res.stats.alignments_reported));
   const auto bridge_cache = [&](const char* which,
                                 const cache::CacheCounters& c) {
     const obs::Labels labels{{"cache", which}, {"tenant", tenant}};
@@ -444,9 +446,14 @@ void Daemon::bridge_tenant_metrics(const std::string& tenant,
                 "Inserts refused by the admission policy")
         .add(static_cast<double>(c.admission_rejects));
   };
-  bridge_cache("seed", summary.seed_cache);
-  bridge_cache("target", summary.target_cache);
-  const core::SessionConfig& cfg = backend_.config();
+  cache::CacheCounters seed, target;
+  for (const core::BatchResult& b : res.per_shard) {
+    seed += b.seed_cache;
+    target += b.target_cache;
+  }
+  bridge_cache("seed", seed);
+  bridge_cache("target", target);
+  const core::SessionConfig& cfg = session_.config();
   const obs::Labels sw_labels{
       {"kernel", align::kernel_name(cfg.extension.kernel)},
       {"isa", cfg.extension.kernel == align::SwKernel::kBatch
@@ -455,9 +462,9 @@ void Daemon::bridge_tenant_metrics(const std::string& tenant,
       {"tenant", tenant}};
   reg.counter("mera_sw_calls_total", sw_labels,
               "Smith-Waterman extensions run")
-      .add(static_cast<double>(summary.stats.sw_calls));
+      .add(static_cast<double>(res.stats.sw_calls));
   reg.counter("mera_sw_cells_total", sw_labels, "DP cells scored")
-      .add(static_cast<double>(summary.stats.sw_cells));
+      .add(static_cast<double>(res.stats.sw_cells));
 }
 
 // ---- stats ------------------------------------------------------------------
@@ -481,7 +488,8 @@ std::string Daemon::stats_json() const {
        << ",\"batches\":" << t.batches << ",\"reads\":" << t.reads
        << ",\"alignments\":" << t.alignments
        << ",\"sam_bytes\":" << t.sam_bytes << ",\"errors\":" << t.errors
-       << ",\"align_s\":" << t.align_s
+       << ",\"align_modeled_s\":" << t.align_modeled_s
+       << ",\"align_wall_s\":" << t.align_wall_s
        << ",\"gate_wait_s\":" << t.gate_wait_s << "}";
   }
   os << "]}";

@@ -1,14 +1,15 @@
 // The always-on multi-tenant alignment daemon.
 //
 // The paper's pipeline amortizes index construction over one run; the daemon
-// amortizes it over a PROCESS LIFETIME. It owns one warm Backend (index +
-// session caches, built or --load-cache-warmed once) and one pgas::Runtime,
+// amortizes it over a PROCESS LIFETIME. It owns one warm ShardedAlignSession
+// (index + session caches, built or --load-cache-warmed once; a single index
+// is a 1-shard session) and one pgas::Runtime,
 // listens on a UNIX-domain socket speaking the serve::framing protocol, and
 // serves each connection as one tenant's query stream: FASTQ/SeqDB batches
 // in, SAM bytes out, every tenant hitting the same warm caches (the
-// admission policy arbitrates who stays resident) and — on the sharded
-// backend — the same process-wide shard executor (ShardedSessionConfig::pool
-// makes J a global budget, not a per-session one).
+// admission policy arbitrates who stays resident) and — with K >= 2 shards —
+// the same process-wide shard executor (ShardedSessionConfig::pool makes J a
+// global budget, not a per-session one).
 //
 // Concurrency model: connections are threads, but alignment is serialized
 // through a FIFO fair gate — batches run one at a time in strict arrival
@@ -43,8 +44,8 @@
 
 #include "core/alignment_sink.hpp"
 #include "pgas/runtime.hpp"
-#include "serve/backend.hpp"
 #include "serve/framing.hpp"
+#include "shard/sharded_session.hpp"
 
 namespace mera::serve {
 
@@ -69,15 +70,17 @@ struct TenantStats {
   std::uint64_t alignments = 0;
   std::uint64_t sam_bytes = 0;
   std::uint64_t errors = 0;   ///< batches answered with an Error frame
-  double align_s = 0.0;       ///< simulated seconds inside align_batch
+  double align_modeled_s = 0.0;  ///< modeled (simulated) align seconds
+  double align_wall_s = 0.0;     ///< measured real seconds inside align_batch
   double gate_wait_s = 0.0;   ///< real seconds queued behind other tenants
 };
 
 class Daemon {
  public:
-  /// Takes ownership of the warm backend; the Runtime is constructed here
+  /// Takes ownership of the warm session; the Runtime is constructed here
   /// (it is non-movable) from the topology the index was built on.
-  Daemon(Backend backend, pgas::Topology topo, DaemonConfig cfg);
+  Daemon(shard::ShardedAlignSession session, pgas::Topology topo,
+         DaemonConfig cfg);
   /// Stops and drains if still running.
   ~Daemon();
   Daemon(const Daemon&) = delete;
@@ -140,10 +143,10 @@ class Daemon {
                     std::string&& payload, std::ostringstream& sam,
                     core::SamStreamSink& sink);
   void bridge_tenant_metrics(const std::string& tenant,
-                             const BatchSummary& summary);
+                             const shard::ShardedBatchResult& res);
   void reap_finished_connections();
 
-  Backend backend_;
+  shard::ShardedAlignSession session_;
   pgas::Runtime rt_;
   DaemonConfig cfg_;
   std::vector<core::SamTarget> targets_;  ///< catalog, computed once

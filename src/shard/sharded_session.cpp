@@ -107,6 +107,9 @@ ShardedAlignSession::ShardedAlignSession(ShardedReference ref,
         std::make_unique<core::AlignSession>(ref_.shard(s), per_shard));
   scratch_->collected.resize(static_cast<std::size_t>(ref_.num_shards()));
   scratch_->cursor.resize(static_cast<std::size_t>(ref_.num_shards()));
+  // A 1-shard plan holds every target id once, so sorted means identity.
+  pass_through_ = ref_.num_shards() == 1 &&
+                  std::ranges::is_sorted(ref_.plan().shards.front().targets);
 }
 
 ShardedAlignSession::~ShardedAlignSession() = default;
@@ -145,6 +148,19 @@ void ShardedAlignSession::load_caches(const pgas::Runtime& rt,
   for (int s = 0; s < num_shards(); ++s)
     sessions_[static_cast<std::size_t>(s)]->load_caches(
         rt, cache::shard_snapshot_path(dir, s));
+}
+
+cache::CacheCounters ShardedAlignSession::seed_cache_counters() const {
+  cache::CacheCounters sum;
+  for (const auto& session : sessions_) sum += session->seed_cache_counters();
+  return sum;
+}
+
+cache::CacheCounters ShardedAlignSession::target_cache_counters() const {
+  cache::CacheCounters sum;
+  for (const auto& session : sessions_)
+    sum += session->target_cache_counters();
+  return sum;
 }
 
 int ShardedAlignSession::effective_parallelism(int nranks) const {
@@ -228,6 +244,11 @@ ShardedBatchResult ShardedAlignSession::run_batch(
     std::snprintf(span_name, sizeof span_name, "shard %d align", s);
     const obs::Span span(span_name, "shard");
     const obs::StopWatch sw;
+    if (pass_through_) {
+      res.per_shard[ss] = sessions_[ss]->align_batch(shard_rt, reads, sink);
+      res.shard_wall_s[ss] = sw.elapsed_s();
+      return;
+    }
     ShardCollectorSink& coll = collected[ss];
     res.per_shard[ss] = sessions_[ss]->align_batch(shard_rt, reads, coll);
     for (auto& rank_entries : coll.per_rank())
@@ -267,9 +288,37 @@ ShardedBatchResult ShardedAlignSession::run_batch(
     res.stats += b.stats;
     res.lane_stats += b.lane_stats;
   }
+  // On the pass-through the shard session already emitted into the caller's
+  // sink (and closed the batch there); its read counters are the batch's.
+  if (!pass_through_) reconcile_and_emit(res, reads, nranks, sink);
+  ++batches_done_;
+  res.wall_s = seconds_since(wall0);
+
+  // ---- bridge the load-balance picture into the metrics registry ----------
+  auto& reg = obs::MetricsRegistry::global();
+  for (int s = 0; s < nshards; ++s)
+    reg.gauge("mera_shard_wall_seconds", {{"shard", std::to_string(s)}},
+              "Measured wall seconds of the shard's last batch")
+        .set(res.shard_wall_s[static_cast<std::size_t>(s)]);
+  reg.gauge("mera_shard_imbalance_measured", {},
+            "max/mean of measured per-shard batch walls (1.0 = balanced)")
+      .set(res.imbalance_measured());
+  reg.gauge("mera_shard_imbalance_predicted", {},
+            "max/mean of planned shard weights (ShardPlan::imbalance)")
+      .set(ref_.plan().imbalance());
+  reg.gauge("mera_shard_parallelism", {},
+            "Shards aligned concurrently in the last batch (resolved J)")
+      .set(static_cast<double>(J));
+  return res;
+}
+
+void ShardedAlignSession::reconcile_and_emit(
+    ShardedBatchResult& res, const std::vector<seq::SeqRecord>& reads,
+    int nranks, core::AlignmentSink& sink) {
+  const int nshards = ref_.num_shards();
+  std::vector<ShardCollectorSink>& collected = scratch_->collected;
   // Read-scoped counters must count each read once, not once per shard.
-  res.stats.reads_processed =
-      res.per_shard.empty() ? 0 : res.per_shard.front().stats.reads_processed;
+  res.stats.reads_processed = res.per_shard.front().stats.reads_processed;
   res.stats.reads_aligned = 0;
 
   // ---- 3+4: reconcile per (rank, read) and emit ---------------------------
@@ -291,33 +340,14 @@ ShardedBatchResult ShardedAlignSession::run_batch(
           merged.push_back(std::move(entries[c++].rec));
       }
       if (!merged.empty()) ++res.stats.reads_aligned;
-      // One shard has nothing to merge: its emission order (grouped per
-      // rank, per read) is already the stream — skip the per-read reorder.
+      // One shard (non-identity ids) has nothing to merge: its emission
+      // order is already the stream — skip the per-read reorder.
       if (nshards > 1) std::sort(merged.begin(), merged.end(), better_hit);
       for (core::AlignmentRecord& rec : merged)
         sink.emit(r, read, std::move(rec));
     }
   }
   sink.batch_end();
-  ++batches_done_;
-  res.wall_s = seconds_since(wall0);
-
-  // ---- bridge the load-balance picture into the metrics registry ----------
-  auto& reg = obs::MetricsRegistry::global();
-  for (int s = 0; s < nshards; ++s)
-    reg.gauge("mera_shard_wall_seconds", {{"shard", std::to_string(s)}},
-              "Measured wall seconds of the shard's last batch")
-        .set(res.shard_wall_s[static_cast<std::size_t>(s)]);
-  reg.gauge("mera_shard_imbalance_measured", {},
-            "max/mean of measured per-shard batch walls (1.0 = balanced)")
-      .set(res.imbalance_measured());
-  reg.gauge("mera_shard_imbalance_predicted", {},
-            "max/mean of planned shard weights (ShardPlan::imbalance)")
-      .set(ref_.plan().imbalance());
-  reg.gauge("mera_shard_parallelism", {},
-            "Shards aligned concurrently in the last batch (resolved J)")
-      .set(static_cast<double>(J));
-  return res;
 }
 
 }  // namespace mera::shard

@@ -22,9 +22,11 @@
 // imposes a total order, the emitted stream is bit-identical at EVERY
 // shard_parallelism — the executor changes wall-clock time, never bytes
 // (tests/test_async.cpp asserts this for K in {1,2,4} and all SW kernels).
-// Single-shard note: with K == 1 there is nothing to merge, so the per-read
-// reorder is skipped and records flow through in the shard's own discovery
-// order — same records, same rank partition, just not re-sorted.
+// Single-shard pass-through: with K == 1 (and the identity id mapping every
+// 1-shard plan the builders produce has) there is nothing to merge or
+// rewrite, so the shard session writes straight into the caller's sink — no
+// collector, no re-emit pass. Records flow in the shard's own discovery
+// order and the batch does the same work a plain core::AlignSession does.
 //
 // Equivalence contract: with the per-shard search exhaustive — exact-match
 // fast path off and max_hits_per_seed large enough that no lookup truncates
@@ -179,6 +181,10 @@ class ShardedAlignSession {
   [[nodiscard]] const core::AlignSession& shard_session(int s) const {
     return *sessions_.at(static_cast<std::size_t>(s));
   }
+  /// Cumulative cache counters summed over the shard sessions (including
+  /// history restored by load_caches).
+  [[nodiscard]] cache::CacheCounters seed_cache_counters() const;
+  [[nodiscard]] cache::CacheCounters target_cache_counters() const;
 
   // --- cache persistence (warm start across sessions and processes) --------
   /// Snapshot every shard session's software caches into directory `dir`
@@ -202,6 +208,10 @@ class ShardedAlignSession {
   ShardedBatchResult run_batch(pgas::Runtime& rt,
                                const std::vector<seq::SeqRecord>& reads,
                                core::AlignmentSink& sink);
+  /// Steps 3+4 of the file comment over the filled collectors.
+  void reconcile_and_emit(ShardedBatchResult& res,
+                          const std::vector<seq::SeqRecord>& reads, int nranks,
+                          core::AlignmentSink& sink);
 
   ShardedReference ref_;
   ShardedSessionConfig cfg_;
@@ -209,6 +219,8 @@ class ShardedAlignSession {
   /// sessions live behind stable pointers). Their configs disable
   /// permutation — it already happened at this level.
   std::vector<std::unique_ptr<core::AlignSession>> sessions_;
+  /// K == 1 with an identity id mapping: batches bypass the collectors.
+  bool pass_through_ = false;
   /// Persistent shard executor, created lazily on the first batch that
   /// resolves to J >= 2 and reused across batches.
   std::unique_ptr<exec::ThreadPool> pool_;

@@ -19,8 +19,8 @@
 #      single-copy shortcut is defined per index, so it is the one knob that
 #      legitimately differs between one index and K shards)
 #
-# Fixtures are copied into WORKDIR first because the CLI writes a derived
-# .sdb file next to the input FASTQ; the source tree must stay clean.
+# Fixtures are copied into WORKDIR first so every run reads and writes only
+# there; the source tree must stay clean.
 cmake_minimum_required(VERSION 3.20)
 
 get_filename_component(FIXTURES ${GOLDEN} DIRECTORY)
@@ -358,8 +358,9 @@ endif()
 if(NOT err MATCHES "caches saved to")
   message(FATAL_ERROR "--save-cache run did not report the snapshot:\n${err}")
 endif()
-if(NOT EXISTS ${WORKDIR}/cache_snapshot/session.mcache)
-  message(FATAL_ERROR "--save-cache did not write cache_snapshot/session.mcache")
+# A single index is a 1-shard session: the same shard-NNNN.mcache layout.
+if(NOT EXISTS ${WORKDIR}/cache_snapshot/shard-0000.mcache)
+  message(FATAL_ERROR "--save-cache did not write cache_snapshot/shard-0000.mcache")
 endif()
 
 execute_process(
@@ -446,6 +447,25 @@ if(NOT rc EQUAL 2)
 endif()
 if(NOT err MATCHES "mismatch" OR NOT err MATCHES "meraligner --targets")
   message(FATAL_ERROR "mismatched --load-cache did not print the usage message:\n${err}")
+endif()
+
+# The retired single-file layout (DIR/session.mcache) is refused by name,
+# not silently cold-started.
+configure_file(${WORKDIR}/cache_snapshot/shard-0000.mcache
+               ${WORKDIR}/legacy_snapshot/session.mcache COPYONLY)
+execute_process(
+  COMMAND ${CLI}
+    --targets ${WORKDIR}/contigs.fa
+    --reads ${WORKDIR}/reads.fastq
+    --k 31 --ranks 4 --ppn 2 --load-cache ${WORKDIR}/legacy_snapshot
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "--load-cache on a legacy session.mcache dir exited ${rc}, expected 2")
+endif()
+if(NOT err MATCHES "shard-0000.mcache is missing" OR NOT err MATCHES "meraligner --targets")
+  message(FATAL_ERROR "legacy --load-cache did not name the missing shard file:\n${err}")
 endif()
 
 execute_process(

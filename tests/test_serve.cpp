@@ -5,7 +5,7 @@
 //                    bad magic / oversize / truncation throw FramingError;
 //   2. bit-identity — a tenant's concatenated Sam payloads are byte-identical
 //                    to the stream a one-shot in-process session writes for
-//                    the same batches (single-index AND sharded backends),
+//                    the same batches (1-shard AND 2-shard daemons),
 //                    including with two tenants aligned concurrently;
 //   3. isolation   — a malformed batch or a mid-stream disconnect costs only
 //                    that connection, never the daemon or other tenants;
@@ -33,7 +33,6 @@
 #include "pgas/runtime.hpp"
 #include "seq/genome_sim.hpp"
 #include "seq/read_sim.hpp"
-#include "serve/backend.hpp"
 #include "serve/daemon.hpp"
 #include "serve/framing.hpp"
 #include "shard/sharded_reference.hpp"
@@ -131,13 +130,10 @@ std::string one_shot_sam(const Workload& w, int shards = 1) {
   return os.str();
 }
 
-serve::Backend make_backend(const Workload& w, int shards = 1) {
+/// The daemon's engine: a K-shard session (K = 1 for a single index).
+shard::ShardedAlignSession make_session(const Workload& w, int shards = 1) {
   pgas::Runtime rt(kTopo);
-  if (shards <= 1)
-    return serve::Backend(
-        core::IndexedReference::build(rt, w.contigs, small_index()),
-        core::SessionConfig{});
-  return serve::Backend(
+  return shard::ShardedAlignSession(
       shard::ShardedReference::build(rt, w.contigs, shards, small_index()),
       shard::ShardedSessionConfig{core::SessionConfig{}, 1});
 }
@@ -275,7 +271,7 @@ TEST_F(ServeTest, SingleTenantSamIsByteIdenticalToOneShotRun) {
   const std::string expected = one_shot_sam(w);
   ASSERT_FALSE(expected.empty());
 
-  serve::Daemon daemon(make_backend(w), kTopo, daemon_config());
+  serve::Daemon daemon(make_session(w), kTopo, daemon_config());
   daemon.start();
   const std::string got = Client(daemon.socket_path()).run_batches("t0", w.batches);
   daemon.request_stop();
@@ -294,7 +290,7 @@ TEST_F(ServeTest, TwoConcurrentTenantsEachGetBitIdenticalSam) {
   const std::string expect_a = one_shot_sam(wa);
   const std::string expect_b = one_shot_sam(wb_on_a);
 
-  serve::Daemon daemon(make_backend(wa), kTopo, daemon_config());
+  serve::Daemon daemon(make_session(wa), kTopo, daemon_config());
   daemon.start();
 
   std::string got_a, got_b;
@@ -323,12 +319,12 @@ TEST_F(ServeTest, TwoConcurrentTenantsEachGetBitIdenticalSam) {
             got_a.size() + got_b.size());
 }
 
-TEST_F(ServeTest, ShardedBackendServesTheSameBytesAsOneShotSharded) {
+TEST_F(ServeTest, ShardedDaemonServesTheSameBytesAsOneShotSharded) {
   const Workload w = make_workload(404, 2);
   const std::string expected = one_shot_sam(w, /*shards=*/2);
   ASSERT_FALSE(expected.empty());
 
-  serve::Daemon daemon(make_backend(w, /*shards=*/2), kTopo, daemon_config());
+  serve::Daemon daemon(make_session(w, /*shards=*/2), kTopo, daemon_config());
   daemon.start();
   const std::string got =
       Client(daemon.socket_path()).run_batches("shardy", w.batches);
@@ -346,7 +342,7 @@ TEST_F(ServeTest, MalformedBatchGetsAnErrorFrameAndTheStreamContinues) {
   const Workload w = make_workload(505, 1);
   const std::string expected = one_shot_sam(w);
 
-  serve::Daemon daemon(make_backend(w), kTopo, daemon_config());
+  serve::Daemon daemon(make_session(w), kTopo, daemon_config());
   daemon.start();
   {
     Client c(daemon.socket_path());
@@ -375,7 +371,7 @@ TEST_F(ServeTest, MalformedBatchGetsAnErrorFrameAndTheStreamContinues) {
 
 TEST_F(ServeTest, InvalidHelloIsRefusedWithoutKillingTheDaemon) {
   const Workload w = make_workload(606, 1);
-  serve::Daemon daemon(make_backend(w), kTopo, daemon_config());
+  serve::Daemon daemon(make_session(w), kTopo, daemon_config());
   daemon.start();
   {
     Client c(daemon.socket_path());
@@ -404,7 +400,7 @@ TEST_F(ServeTest, MidStreamDisconnectCostsOnlyThatConnection) {
   const Workload w = make_workload(707, 2);
   const std::string expected = one_shot_sam(w);
 
-  serve::Daemon daemon(make_backend(w), kTopo, daemon_config());
+  serve::Daemon daemon(make_session(w), kTopo, daemon_config());
   daemon.start();
   {
     // Vanish right after handing over a batch, never reading the reply: the
@@ -431,7 +427,7 @@ TEST_F(ServeTest, AutosaveWhileServingLeavesALoadableSnapshot) {
   std::filesystem::create_directories(dcfg.cache_dir);
   dcfg.autosave_interval_s = 0.05;
 
-  serve::Daemon daemon(make_backend(w), kTopo, dcfg);
+  serve::Daemon daemon(make_session(w), kTopo, dcfg);
   daemon.start();
   {
     Client c(daemon.socket_path());
@@ -450,15 +446,14 @@ TEST_F(ServeTest, AutosaveWhileServingLeavesALoadableSnapshot) {
   daemon.wait();  // includes the final shutdown save
 
   EXPECT_GE(autosaves, 1u) << "timer saves must run while batches are served";
-  const std::string snap = dcfg.cache_dir + "/session.mcache";
+  const std::string snap = dcfg.cache_dir + "/shard-0000.mcache";
   ASSERT_TRUE(std::filesystem::exists(snap));
   EXPECT_FALSE(std::filesystem::exists(snap + ".tmp"));
 
   // The snapshot warm-starts a fresh session over the same reference.
   pgas::Runtime rt(kTopo);
-  core::AlignSession warm(
-      core::IndexedReference::build(rt, w.contigs, small_index()));
-  EXPECT_NO_THROW(warm.load_caches(rt, snap));
+  shard::ShardedAlignSession warm = make_session(w);
+  EXPECT_NO_THROW(warm.load_caches(rt, dcfg.cache_dir));
 }
 
 // ---------------------------------------------------------------------------
@@ -467,7 +462,7 @@ TEST_F(ServeTest, AutosaveWhileServingLeavesALoadableSnapshot) {
 
 TEST_F(ServeTest, MetricsScrapeCarriesServeAndPerTenantSeries) {
   const Workload w = make_workload(909, 1);
-  serve::Daemon daemon(make_backend(w), kTopo, daemon_config());
+  serve::Daemon daemon(make_session(w), kTopo, daemon_config());
   daemon.start();
   std::string scrape;
   {
@@ -497,7 +492,7 @@ TEST_F(ServeTest, MetricsScrapeCarriesServeAndPerTenantSeries) {
 
 TEST_F(ServeTest, StatsRequestReturnsPerTenantJson) {
   const Workload w = make_workload(111, 1);
-  serve::Daemon daemon(make_backend(w), kTopo, daemon_config());
+  serve::Daemon daemon(make_session(w), kTopo, daemon_config());
   daemon.start();
   std::string json;
   {
@@ -520,11 +515,16 @@ TEST_F(ServeTest, StatsRequestReturnsPerTenantJson) {
   EXPECT_NE(json.find("\"name\":\"jsonite\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"batches\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"connections\":1"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"align_modeled_s\":"), std::string::npos) << json;
+  // The measured wall exists on a 1-shard daemon too.
+  const auto wall = json.find("\"align_wall_s\":");
+  ASSERT_NE(wall, std::string::npos) << json;
+  EXPECT_GT(std::stod(json.substr(wall + 15)), 0.0) << json;
 }
 
 TEST_F(ServeTest, GracefulShutdownRemovesTheSocketFile) {
   const Workload w = make_workload(121, 1);
-  serve::Daemon daemon(make_backend(w), kTopo, daemon_config());
+  serve::Daemon daemon(make_session(w), kTopo, daemon_config());
   daemon.start();
   ASSERT_TRUE(std::filesystem::exists(daemon.socket_path()));
   daemon.request_stop();

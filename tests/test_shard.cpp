@@ -318,6 +318,35 @@ TEST(ShardedSession, OutputBitIdenticalToMonolithicSessionAllKernelsAllK) {
   }
 }
 
+TEST(ShardedSession, OneShardPassesThroughTheShardSessionUnchanged) {
+  // Default settings: exact-match fast path on, default max_hits_per_seed.
+  // One rank per node, so no two rank threads race on a shared cache and the
+  // cache counters are reproducible run to run.
+  const auto w = make_workload(30'000, 1.5);
+  const core::SessionConfig sc;
+  Runtime rt(Topology(4, 1));
+  const auto ref = ShardedReference::build(rt, w.contigs, 1, small_index());
+  ASSERT_EQ(ref.num_shards(), 1);
+
+  core::AlignSession plain(ref.shard(0), sc);
+  core::VectorSink plain_sink(rt.nranks());
+  const auto plain_res = plain.align_batch(rt, w.reads, plain_sink);
+  const auto expected = plain_sink.take();
+  ASSERT_GT(expected.size(), 0u);
+
+  ShardedAlignSession session(ref, sc);
+  core::VectorSink sink(rt.nranks());
+  const auto res = session.align_batch(rt, w.reads, sink);
+  const auto got = sink.take();
+
+  // Same records in the same unsorted per-rank emission order.
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    ASSERT_EQ(got[i], expected[i]) << "record " << i;
+  EXPECT_TRUE(res.stats == plain_res.stats);
+  EXPECT_GT(res.stats.exact_match_reads, 0u);  // the fast path did run
+}
+
 TEST(ShardedSession, SamBytesMatchMonolithicForEverySinkAndAreDeterministic) {
   const auto w = make_workload(30'000, 1.2);
   const core::SessionConfig sc = exhaustive_session();

@@ -15,27 +15,28 @@
 //              [--metrics-format json|prom] [--quiet]
 //
 // The distributed seed index is built ONCE from --targets; every --reads
-// batch is then streamed against it through one AlignSession, so batch N>1
-// pays no index construction. With --out, all batches stream into a single
-// SAM file (header once). Unknown flags are an error (exit 2), not ignored.
+// batch is then streamed against it through one ShardedAlignSession, so
+// batch N>1 pays no index construction. With --out, all batches stream into
+// a single SAM file (header once). Unknown flags are an error (exit 2), not
+// ignored.
 //
-// Sharded references: pass --shards K to split one --targets collection into
-// K balanced per-runtime index shards (planned by total bases or cost-model
-// seed weight, --shard-by), or pass --targets repeatedly for one shard per
-// FASTA. Batches then stream through a ShardedAlignSession that reconciles
-// per-shard hits into one SAM with global target ids — the "GenBank-scale"
-// screening layout where no single runtime holds the whole index.
-// --shard-parallel J drives J shards concurrently per batch (default: auto,
-// min(K, hardware threads / ranks)); output is bit-identical at every J.
+// Sharded references: one --targets file is a 1-shard reference. Pass
+// --shards K to split it into K balanced per-runtime index shards (planned by
+// total bases or cost-model seed weight, --shard-by), or pass --targets
+// repeatedly for one shard per FASTA. The session reconciles per-shard hits
+// into one SAM with global target ids — the "GenBank-scale" screening layout
+// where no single runtime holds the whole index. --shard-parallel J drives J
+// shards concurrently per batch (default: auto, min(K, hardware threads /
+// ranks)); output is bit-identical at every J.
 //
 // Batch streaming is double-buffered by default: while batch N aligns,
 // batch N+1 loads on a background worker (FASTQ parsed straight into
-// memory). --no-prefetch restores the strictly serial load-then-align loop,
-// converting FASTQ to a temporary SeqDB next to the input (the paper's
-// one-time lossless preprocessing) so every rank reads its own byte range.
+// memory). --no-prefetch restores the strictly serial load-then-align loop;
+// both load each batch whole and write nothing next to the input.
 //
 // Cache persistence: --save-cache DIR snapshots the session's software
-// caches (seed + target, entries and counters) after the last batch;
+// caches (seed + target, entries and counters) after the last batch, one
+// shard-NNNN.mcache file per shard;
 // --load-cache DIR warm-starts a later invocation from such a snapshot, so
 // a restarted screening service skips the remote lookups the previous run
 // already paid for. Snapshots are fingerprinted against the reference,
@@ -57,23 +58,16 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "cache/cache_snapshot.hpp"
 #include "cache/seed_cache.hpp"
 #include "cli_util.hpp"
-#include "core/align_session.hpp"
 #include "core/alignment_sink.hpp"
-#include "core/batch_prefetcher.hpp"
-#include "core/indexed_reference.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "seq/fasta.hpp"
-#include "seq/seqdb.hpp"
 #include "shard/sharded_reference.hpp"
 #include "shard/sharded_session.hpp"
 
@@ -124,73 +118,6 @@ constexpr const char* kUsage =
     "registry as JSON (--metrics-format prom for Prometheus text). Neither\n"
     "changes a SAM byte. --quiet silences informational stderr lines.";
 
-mera::align::SwKernel parse_kernel(const std::string& name) {
-  using mera::align::SwKernel;
-  if (name == "full") return SwKernel::kFullDP;
-  if (name == "banded") return SwKernel::kBanded;
-  if (name == "striped") return SwKernel::kStriped;
-  if (name == "batch") return SwKernel::kBatch;
-  throw mera::tools::UsageError(
-      "--sw expects full|banded|striped|batch, got '" + name + "'");
-}
-
-/// --sw-isa: validated here so a typo or a tier this machine can't run is a
-/// usage error up front, not a mid-run exception from the first batch.
-mera::align::SwIsa parse_sw_isa(const std::string& name) {
-  const auto isa = mera::align::parse_isa(name);
-  if (!isa)
-    throw mera::tools::UsageError(
-        "--sw-isa expects auto|scalar|sse2|avx2|avx512, got '" + name + "'");
-  if (!mera::align::isa_supported(*isa))
-    throw mera::tools::UsageError(
-        "--sw-isa " + name +
-        ": tier not available (not compiled in or not supported by this CPU)");
-  return *isa;
-}
-
-/// --sw-pool: cross-read candidate pooling for --sw batch. on = the auto
-/// flush threshold (the resolved tier's 8-bit lane width), off = flush per
-/// read, N >= 1 = explicit per-bucket flush threshold (1 == on).
-std::size_t parse_sw_pool(const std::string& v) {
-  if (v == "on") return 1;
-  if (v == "off") return 0;
-  char* end = nullptr;
-  const long n = std::strtol(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0' || n < 1)
-    throw mera::tools::UsageError("--sw-pool expects on|off|N (N >= 1), got '" +
-                                  v + "'");
-  return static_cast<std::size_t>(n);
-}
-
-mera::shard::ShardWeight parse_shard_weight(const std::string& name) {
-  using mera::shard::ShardWeight;
-  if (name == "cost") return ShardWeight::kCostModel;
-  if (name == "bases") return ShardWeight::kBases;
-  throw mera::tools::UsageError("--shard-by expects cost|bases, got '" + name +
-                                "'");
-}
-
-/// FASTQ batches get the one-time lossless SeqDB conversion.
-std::string ensure_seqdb(const std::string& reads) {
-  if (mera::core::looks_like_fastq(reads)) {
-    const std::string db = reads + ".sdb";
-    mera::obs::Log::info("converting %s -> %s", reads.c_str(), db.c_str());
-    mera::seq::fastq_to_seqdb(reads, db);
-    return db;
-  }
-  return reads;
-}
-
-/// The @PG CL field: the invocation verbatim, space-separated.
-std::string command_line_of(int argc, char** argv) {
-  std::string cl;
-  for (int i = 0; i < argc; ++i) {
-    if (i) cl += ' ';
-    cl += argv[i];
-  }
-  return cl;
-}
-
 void print_batch_line(std::size_t b, std::size_t nbatches,
                       const std::string& name, const mera::core::PipelineStats& s,
                       double time_s) {
@@ -209,25 +136,6 @@ void print_prefetch_line(double wall_s, double load_wall_s, double stall_s) {
       "prefetch: %.3f real s end-to-end, %.3f s of "
       "batch loading overlapped with aligning (%.3f s stalled)",
       wall_s, load_wall_s, stall_s);
-}
-
-/// Warm-load failures are invocation errors (exit 2 + usage): the user
-/// pointed --load-cache at a snapshot that does not exist or does not match
-/// this reference/topology/cost model.
-template <typename SessionT>
-void load_caches_or_usage_error(SessionT& session, const mera::pgas::Runtime& rt,
-                                const std::string& dir,
-                                const std::string& path) {
-  try {
-    session.load_caches(rt, path);
-  } catch (const mera::cache::CacheSnapshotError& e) {
-    throw mera::tools::UsageError("--load-cache " + dir + ": " + e.what());
-  }
-  mera::obs::Log::info("warm caches loaded from %s", dir.c_str());
-}
-
-void print_save_line(const std::string& dir) {
-  mera::obs::Log::info("caches saved to %s", dir.c_str());
 }
 
 void print_total_line(const mera::core::PipelineStats& total, double index_s,
@@ -342,44 +250,10 @@ int main(int argc, char** argv) {
                               metrics_format + "'");
     // Enable before the index build so its phases land on the timeline too.
     if (!trace_path.empty()) obs::Tracer::global().enable();
-    const std::vector<std::string> target_files = args.get_all("targets");
-    if (target_files.empty())
-      throw tools::UsageError("missing required flag --targets");
+    const tools::EngineOptions engine = tools::parse_engine_options(args);
     std::vector<std::string> batches = args.get_all("reads");
     if (batches.empty()) throw tools::UsageError("missing required flag --reads");
     const std::string out = args.get("out");
-
-    core::IndexConfig icfg;
-    icfg.k = static_cast<int>(args.get_int("k", 51));
-    icfg.buffer_S = static_cast<std::size_t>(args.get_int("S", 1000));
-    icfg.fragment_len =
-        static_cast<std::size_t>(args.get_int("fragment-len", 1024));
-    icfg.exact_match = !args.has("no-exact");
-    icfg.aggregating_stores = !args.has("no-aggregation");
-
-    core::SessionConfig scfg;
-    scfg.max_hits_per_seed =
-        static_cast<std::size_t>(args.get_int("max-hits", 32));
-    scfg.exact_match = icfg.exact_match;
-    scfg.seed_cache = !args.has("no-seed-cache");
-    scfg.target_cache = !args.has("no-target-cache");
-    scfg.permute_queries = !args.has("no-permute");
-    scfg.extension.kernel = parse_kernel(args.get("sw", "full"));
-    if (args.has("sw-isa")) {
-      // Only the batch kernel dispatches on ISA; elsewhere the flag would be
-      // a silent no-op.
-      if (scfg.extension.kernel != align::SwKernel::kBatch)
-        throw tools::UsageError("--sw-isa requires --sw batch");
-      scfg.extension.isa = parse_sw_isa(args.get("sw-isa"));
-    }
-    if (args.has("sw-pool")) {
-      // Pooling only exists inside the batch engine; elsewhere the flag
-      // would be a silent no-op.
-      if (scfg.extension.kernel != align::SwKernel::kBatch)
-        throw tools::UsageError("--sw-pool requires --sw batch");
-      scfg.sw_pooling = parse_sw_pool(args.get("sw-pool"));
-    }
-    scfg.cache_admission = args.has("cache-admission");
 
     const std::string save_cache_dir = args.get("save-cache");
     const std::string load_cache_dir = args.get("load-cache");
@@ -398,148 +272,29 @@ int main(int argc, char** argv) {
 
     core::SamProgram pg;
     pg.name = "meraligner";
-    pg.command_line = command_line_of(argc, argv);
+    pg.command_line = tools::command_line_of(argc, argv);
 
-    const long shards_flag = args.get_int("shards", 0);
-    if (args.has("shards") && shards_flag < 1)
-      throw tools::UsageError("--shards must be >= 1");
-    if (target_files.size() > 1 && shards_flag != 0 &&
-        shards_flag != static_cast<long>(target_files.size()))
-      throw tools::UsageError(
-          "--shards conflicts with repeated --targets (one shard per file)");
-    const bool sharded = target_files.size() > 1 || shards_flag > 1;
-    // --shard-by steers the planner, which only runs when one collection is
-    // being split; anywhere else the flag would be a silent no-op.
-    if (args.has("shard-by") && (target_files.size() > 1 || shards_flag < 2))
-      throw tools::UsageError(
-          "--shard-by requires --shards K (K >= 2) with a single --targets "
-          "collection");
-    // --shard-parallel sizes the shard executor; without shards it would be
-    // a silent no-op. 0/negative (and non-numeric, via get_int) are errors —
-    // "no parallelism" is spelled --shard-parallel 1.
-    int shard_parallel = 0;  // 0 = auto: min(K, hardware threads / ranks)
-    if (args.has("shard-parallel")) {
-      if (!sharded)
-        throw tools::UsageError(
-            "--shard-parallel requires a sharded reference (--shards K or "
-            "repeated --targets)");
-      const long j = args.get_int("shard-parallel", 0);
-      if (j < 1)
-        throw tools::UsageError("--shard-parallel must be >= 1, got " +
-                                args.get("shard-parallel"));
-      shard_parallel = static_cast<int>(j);
-    }
-    const bool prefetch = !args.has("no-prefetch");
+    const shard::ShardedReference ref = tools::build_reference(rt, engine);
+    if (args.has("stats")) ref.build_report().print(std::cerr);
 
-    if (!sharded) {
-      // ---- single-index path ---------------------------------------------
-      const auto ref =
-          core::IndexedReference::build_from_fasta(rt, target_files[0], icfg);
-      obs::Log::info(
-          "index built: %zu entries, %.3f simulated s "
-          "(amortized over %zu batch%s)",
-          ref.index_entries(), ref.build_report().total_time_s(),
-          batches.size(), batches.size() == 1 ? "" : "es");
-      if (args.has("stats")) ref.build_report().print(std::cerr);
-
-      core::AlignSession session(ref, scfg);
-      if (!load_cache_dir.empty())
-        load_caches_or_usage_error(
-            session, rt, load_cache_dir,
-            load_cache_dir + "/" + cache::kSessionSnapshotFile);
-      std::optional<core::SamFileSink> sam;
-      core::CountingSink counter;
-      if (!out.empty()) sam.emplace(out, ref, pg);
-      core::AlignmentSink& sink =
-          sam ? static_cast<core::AlignmentSink&>(*sam)
-              : static_cast<core::AlignmentSink&>(counter);
-
-      core::PipelineStats total;
-      double align_time_s = 0.0;
-      auto account_batch = [&](std::size_t b, const core::BatchResult& res) {
-        align_time_s += res.total_time_s();
-        total += res.stats;
-        print_batch_line(b, batches.size(), batches[b], res.stats,
-                         res.total_time_s());
-        if (args.has("stats")) {
-          res.report.print(std::cerr);
-          res.stats.print(std::cerr);
-        }
-      };
-      if (prefetch) {
-        // Double-buffered stream: batch N+1 loads while batch N aligns;
-        // per-batch lines print live as each batch completes.
-        const auto stream =
-            session.align_batch_files(rt, batches, sink, {}, account_batch);
-        print_prefetch_line(stream.wall_s, stream.load_wall_s, stream.stall_s);
-      } else {
-        for (std::size_t b = 0; b < batches.size(); ++b) {
-          const std::string db = ensure_seqdb(batches[b]);
-          account_batch(b, session.align_batch_file(rt, db, sink));
-        }
-      }
-      if (!save_cache_dir.empty()) {
-        session.save_caches(
-            rt, save_cache_dir + "/" + cache::kSessionSnapshotFile);
-        print_save_line(save_cache_dir);
-      }
-      print_total_line(total, ref.build_report().total_time_s(), align_time_s);
-      if (args.has("stats"))
-        print_cache_totals(session.seed_cache_counters(),
-                           session.target_cache_counters());
-      write_observability_files(trace_path, metrics_path, metrics_format);
-      return 0;
-    }
-
-    // ---- sharded path -----------------------------------------------------
-    std::optional<shard::ShardedReference> ref;
-    if (target_files.size() > 1) {
-      ref = shard::ShardedReference::build_from_fastas(rt, target_files, icfg);
-    } else {
-      shard::ShardPlanOptions popt;
-      popt.shards = static_cast<int>(shards_flag);
-      popt.weight = parse_shard_weight(args.get("shard-by", "cost"));
-      popt.k = icfg.k;
-      const auto targets = seq::read_fasta(target_files[0]);
-      ref = shard::ShardedReference::build(
-          rt, targets, shard::plan_shards(targets, popt), icfg);
-      if (ref->num_shards() != popt.shards)
-        obs::Log::warn(
-            "warning: --shards %d clamped to %d (one "
-            "shard per target is the maximum)",
-            popt.shards, ref->num_shards());
-    }
-    obs::Log::info(
-        "sharded index built: %d shards, %u targets, "
-        "%zu entries; build %.3f simulated s serial, %.3f s if each "
-        "shard had its own runtime",
-        ref->num_shards(), ref->num_targets(), ref->index_entries(),
-        ref->build_time_serial_s(), ref->build_time_parallel_s());
-    for (int s = 0; s < ref->num_shards(); ++s)
-      obs::Log::info(
-          "  shard %d: %u targets, %zu entries, "
-          "build %.3f simulated s",
-          s, ref->shard(s).targets().num_targets(),
-          ref->shard(s).index_entries(),
-          ref->shard(s).build_report().total_time_s());
-    if (args.has("stats")) ref->build_report().print(std::cerr);
-
-    shard::ShardedSessionConfig sscfg{scfg, shard_parallel};
-    shard::ShardedAlignSession session(*ref, sscfg);
-    obs::Log::info(
-        "shard executor: %d of %d shards in parallel "
-        "per batch (%s)",
-        session.effective_parallelism(rt.nranks()), session.num_shards(),
-        shard_parallel > 0 ? "--shard-parallel" : "auto");
+    shard::ShardedAlignSession session(
+        ref, shard::ShardedSessionConfig{engine.session, engine.shard_parallel});
+    if (engine.sharded())
+      obs::Log::info("shard executor: %d of %d shards in parallel per batch (%s)",
+                     session.effective_parallelism(rt.nranks()),
+                     session.num_shards(),
+                     engine.shard_parallel > 0 ? "--shard-parallel" : "auto");
     if (!load_cache_dir.empty())
-      load_caches_or_usage_error(session, rt, load_cache_dir, load_cache_dir);
+      tools::load_caches_or_usage_error(session, rt, load_cache_dir);
     std::optional<core::SamFileSink> sam;
     core::CountingSink counter;
-    if (!out.empty()) sam.emplace(out, ref->sam_targets(), rt.nranks(), pg);
+    if (!out.empty()) sam.emplace(out, ref.sam_targets(), rt.nranks(), pg);
     core::AlignmentSink& sink =
         sam ? static_cast<core::AlignmentSink&>(*sam)
             : static_cast<core::AlignmentSink&>(counter);
 
+    // Batch N+1 loads while batch N aligns (unless --no-prefetch); per-batch
+    // lines print live as each batch completes.
     core::PipelineStats total;
     double align_serial_s = 0.0, align_parallel_s = 0.0;
     auto account_batch = [&](std::size_t b,
@@ -554,44 +309,25 @@ int main(int argc, char** argv) {
         res.stats.print(std::cerr);
       }
     };
-    if (prefetch) {
-      const auto stream =
-          session.align_batch_files(rt, batches, sink, {}, account_batch);
+    const bool prefetch = !args.has("no-prefetch");
+    const auto stream = session.align_batch_files(
+        rt, batches, sink, core::FileStreamOptions{.prefetch = prefetch},
+        account_batch);
+    if (prefetch)
       print_prefetch_line(stream.wall_s, stream.load_wall_s, stream.stall_s);
-    } else {
-      for (std::size_t b = 0; b < batches.size(); ++b) {
-        const std::string db = ensure_seqdb(batches[b]);
-        account_batch(b, session.align_batch_file(rt, db, sink));
-      }
-    }
     if (!save_cache_dir.empty()) {
       session.save_caches(rt, save_cache_dir);
-      print_save_line(save_cache_dir);
+      obs::Log::info("caches saved to %s", save_cache_dir.c_str());
     }
-    print_total_line(total, ref->build_time_serial_s(), align_serial_s);
-    obs::Log::info(
-        "per-runtime view (%d shards in parallel): "
-        "%.3f s index + %.3f s aligning",
-        ref->num_shards(), ref->build_time_parallel_s(), align_parallel_s);
-    if (args.has("stats")) {
-      cache::CacheCounters seed, target;
-      for (int s = 0; s < session.num_shards(); ++s) {
-        const auto& ss = session.shard_session(s);
-        const auto sc = ss.seed_cache_counters();
-        const auto tc = ss.target_cache_counters();
-        seed.hits += sc.hits;
-        seed.misses += sc.misses;
-        seed.insertions += sc.insertions;
-        seed.evictions += sc.evictions;
-        seed.admission_rejects += sc.admission_rejects;
-        target.hits += tc.hits;
-        target.misses += tc.misses;
-        target.insertions += tc.insertions;
-        target.evictions += tc.evictions;
-        target.admission_rejects += tc.admission_rejects;
-      }
-      print_cache_totals(seed, target);
-    }
+    print_total_line(total, ref.build_time_serial_s(), align_serial_s);
+    if (engine.sharded())
+      obs::Log::info(
+          "per-runtime view (%d shards in parallel): "
+          "%.3f s index + %.3f s aligning",
+          ref.num_shards(), ref.build_time_parallel_s(), align_parallel_s);
+    if (args.has("stats"))
+      print_cache_totals(session.seed_cache_counters(),
+                         session.target_cache_counters());
     write_observability_files(trace_path, metrics_path, metrics_format);
     return 0;
   } catch (const tools::UsageError& e) {
