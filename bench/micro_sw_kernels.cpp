@@ -1,6 +1,7 @@
 // Kernel microbenches (google-benchmark): reference full-DP Smith-Waterman
 // vs banded vs striped SIMD (Section V-B — the paper adopts SSW because SW
-// dominates the aligning phase's computation).
+// dominates the aligning phase's computation), and the batch screen followed
+// by the full-window or the anchored traceback.
 #include <benchmark/benchmark.h>
 
 #include <random>
@@ -8,6 +9,7 @@
 
 #include "align/banded_sw.hpp"
 #include "align/batch_sw.hpp"
+#include "align/extension.hpp"
 #include "align/smith_waterman.hpp"
 #include "align/striped_sw.hpp"
 
@@ -139,6 +141,36 @@ BENCHMARK(BM_BatchSW_scalar)->Args({101, 300, 24})->Args({101, 300, 64});
 BENCHMARK(BM_BatchSW_sse2)->Args({101, 300, 24})->Args({101, 300, 64});
 BENCHMARK(BM_BatchSW_avx2)->Args({101, 300, 24})->Args({101, 300, 64});
 BENCHMARK(BM_BatchSW_avx512)->Args({101, 300, 24})->Args({101, 300, 64});
+
+// Screen plus traceback per candidate, as the extension step pays it: the
+// batch screen, then smith_waterman on every candidate (the full-window
+// traceback) or anchored_traceback from the screen's end cell. Args =
+// {qlen, window, n_candidates}: 101 bp and 150 bp reads in windows padded by
+// 16 columns a side; items = candidates.
+void screen_then_traceback(benchmark::State& state, bool anchored) {
+  const auto cs = make_candidates(static_cast<std::size_t>(state.range(0)),
+                                  static_cast<std::size_t>(state.range(1)),
+                                  static_cast<std::size_t>(state.range(2)));
+  const std::span<const std::uint8_t> q(cs.q);
+  for (auto _ : state) {
+    BatchSwScorer scorer(q, Scoring{});
+    for (const auto& t : cs.ts) scorer.add(std::span<const std::uint8_t>(t));
+    const auto screened = scorer.flush();
+    for (std::size_t c = 0; c < cs.ts.size(); ++c) {
+      const std::span<const std::uint8_t> t(cs.ts[c]);
+      benchmark::DoNotOptimize(
+          anchored ? anchored_traceback(q, t, screened[c], Scoring{})
+                   : smith_waterman(q, t, Scoring{}));
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(2));
+}
+
+void BM_ScreenFullTraceback(benchmark::State& s) { screen_then_traceback(s, false); }
+void BM_ScreenAnchoredTraceback(benchmark::State& s) { screen_then_traceback(s, true); }
+BENCHMARK(BM_ScreenFullTraceback)->Args({101, 133, 64})->Args({150, 182, 64});
+BENCHMARK(BM_ScreenAnchoredTraceback)->Args({101, 133, 64})->Args({150, 182, 64});
 
 void BM_StripedProfileBuild(benchmark::State& state) {
   std::mt19937_64 rng(9);

@@ -12,6 +12,21 @@ constexpr std::uint8_t kEExt = 4, kFExt = 8;
 constexpr int kNegInf = INT_MIN / 4;
 }  // namespace
 
+std::uint64_t banded_cells(std::size_t m, std::size_t n, std::ptrdiff_t diag,
+                           std::size_t band) noexcept {
+  if (m == 0 || n == 0) return 0;
+  const auto bw = static_cast<std::ptrdiff_t>(band);
+  const auto nn = static_cast<std::ptrdiff_t>(n);
+  std::uint64_t cells = 0;
+  // Row i (1-based) covers j in [max(1, i + diag - bw), min(n, i + diag + bw)].
+  for (std::ptrdiff_t i = 1; i <= static_cast<std::ptrdiff_t>(m); ++i) {
+    const std::ptrdiff_t jlo = std::max<std::ptrdiff_t>(1, i + diag - bw);
+    const std::ptrdiff_t jhi = std::min<std::ptrdiff_t>(nn, i + diag + bw);
+    if (jhi >= jlo) cells += static_cast<std::uint64_t>(jhi - jlo + 1);
+  }
+  return cells;
+}
+
 LocalAlignment banded_smith_waterman(std::span<const std::uint8_t> query,
                                      std::span<const std::uint8_t> target,
                                      std::ptrdiff_t diag, std::size_t band,

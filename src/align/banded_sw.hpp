@@ -21,4 +21,9 @@ namespace mera::align {
     std::span<const std::uint8_t> query, std::span<const std::uint8_t> target,
     std::ptrdiff_t diag, std::size_t band, const Scoring& sc = {});
 
+/// DP cells banded_smith_waterman computes for an m x n input.
+[[nodiscard]] std::uint64_t banded_cells(std::size_t m, std::size_t n,
+                                         std::ptrdiff_t diag,
+                                         std::size_t band) noexcept;
+
 }  // namespace mera::align

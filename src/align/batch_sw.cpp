@@ -35,6 +35,16 @@ const detail::BatchKernel* kernel_for(SwIsa isa) noexcept {
   }
 }
 
+/// One lane's result; the end cell is reported (as half-open ends) when the
+/// pass carried its row exactly and some cell scored above zero.
+StripedResult lane_result(int best, std::size_t t_end, bool used_16bit,
+                          bool rows_exact, std::size_t end_row,
+                          std::size_t end_col) {
+  StripedResult r{best, t_end, used_16bit, std::nullopt};
+  if (rows_exact && best > 0) r.end_cell = SwEndCell{end_row + 1, end_col + 1};
+  return r;
+}
+
 std::string supported_tier_list() {
   std::string s = "scalar";
   for (SwIsa isa : {SwIsa::kSse2, SwIsa::kAvx2, SwIsa::kAvx512})
@@ -269,7 +279,7 @@ std::vector<StripedResult> BatchSwScorer::flush() {
     const std::size_t L = static_cast<std::size_t>(kernel->lanes8);
     std::vector<std::size_t> len(L), qlen(L);
     std::vector<int> best(L);
-    std::vector<std::size_t> t_end(L);
+    std::vector<std::size_t> t_end(L), end_row(L), end_col(L);
     std::vector<std::uint8_t> sat(L);
     for (std::size_t g = 0; g < live.size(); g += L) {
       const std::size_t gn = std::min(L, live.size() - g);
@@ -315,14 +325,18 @@ std::vector<StripedResult> BatchSwScorer::flush() {
       args.best = best.data();
       args.t_end = t_end.data();
       args.saturated = sat.data();
+      args.end_row = end_row.data();
+      args.end_col = end_col.data();
       kernel->pass8(args);
       lane_stats_.record_group(gn, L);
+      const bool rows_exact = mmax <= detail::kMaxEndCellRows8;
       for (std::size_t l = 0; l < gn; ++l) {
         const std::size_t c = live[g + l];
         if (sat[l]) {
           escalate.push_back(c);
         } else {
-          out[c] = {best[l], t_end[l], false};
+          out[c] = lane_result(best[l], t_end[l], false, rows_exact,
+                               end_row[l], end_col[l]);
         }
       }
     }
@@ -333,7 +347,7 @@ std::vector<StripedResult> BatchSwScorer::flush() {
     const std::size_t L = static_cast<std::size_t>(kernel->lanes16);
     std::vector<std::size_t> len(L), qlen(L);
     std::vector<int> best(L);
-    std::vector<std::size_t> t_end(L);
+    std::vector<std::size_t> t_end(L), end_row(L), end_col(L);
     std::vector<std::uint8_t> sat(L);
     for (std::size_t g = 0; g < escalate.size(); g += L) {
       const std::size_t gn = std::min(L, escalate.size() - g);
@@ -382,8 +396,11 @@ std::vector<StripedResult> BatchSwScorer::flush() {
       args.best = best.data();
       args.t_end = t_end.data();
       args.saturated = sat.data();
+      args.end_row = end_row.data();
+      args.end_col = end_col.data();
       kernel->pass16(args);
       lane_stats_.record_group(gn, L);
+      const bool rows_exact = mmax <= detail::kMaxEndCellRows16;
       for (std::size_t l = 0; l < gn; ++l) {
         const std::size_t c = escalate[g + l];
         if (sat[l]) {
@@ -391,7 +408,8 @@ std::vector<StripedResult> BatchSwScorer::flush() {
           score_per_pair(c);
           out[c].used_16bit = true;
         } else {
-          out[c] = {best[l], t_end[l], true};
+          out[c] = lane_result(best[l], t_end[l], true, rows_exact,
+                               end_row[l], end_col[l]);
         }
       }
     }

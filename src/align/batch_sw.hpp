@@ -19,7 +19,12 @@
 // used_16bit are bit-identical to StripedSmithWaterman::align and to
 // striped_scalar_score, on every dispatch tier — property-tested by
 // tests/test_batch_sw.cpp and tests/test_pooled_sw.cpp across all tiers the
-// host supports.
+// host supports. The SIMD lane passes also report smith_waterman's own end
+// cell (StripedResult::end_cell), which anchored_traceback (extension.hpp)
+// turns into the full alignment; it is absent for lanes of an 8-bit group
+// with more than 255 query rows, and for the per-pair backstop and the
+// scalar tier unless the striped profile is the scalar reference
+// (MERA_FORCE_SCALAR_SW builds).
 //
 // Dispatch: the widest ISA the CPU supports is probed once per scorer
 // (cpuid via __builtin_cpu_supports); `MERA_SW_ISA` in the environment (or

@@ -16,7 +16,9 @@ namespace mera::align::detail {
 /// both gap penalties >= 0 every cell in a padded row derives from real
 /// cells through non-increasing operations, so a padded row can never
 /// STRICTLY exceed the running best — and the strict `>` best-update means
-/// score / t_end / saturation are untouched by row padding. BatchSwScorer
+/// score / t_end / saturation are untouched by row padding. A padded row's
+/// index exceeds every real row's, so it never wins the end cell's
+/// smaller-row tie-break either. BatchSwScorer
 /// verifies that precondition and falls back to per-pair scoring for exotic
 /// scoring schemes that violate it.
 inline constexpr std::uint8_t kTargetPadCode = 0xFF;
@@ -46,7 +48,17 @@ struct BatchPass8Args {
   int* best = nullptr;           ///< best score (exact unless saturated)
   std::size_t* t_end = nullptr;  ///< smallest column achieving best
   std::uint8_t* saturated = nullptr;  ///< best >= 255 - bias: rerun in 16-bit
+  /// smith_waterman's end cell (0-based row and column): the first cell in
+  /// row-major order reaching `best`. Rows are counted in 8-bit lanes, so
+  /// end_row is exact only while m <= kMaxEndCellRows8.
+  std::size_t* end_row = nullptr;
+  std::size_t* end_col = nullptr;
 };
+
+/// Largest row count whose end-cell rows the 8-bit pass carries exactly.
+inline constexpr std::size_t kMaxEndCellRows8 = 255;
+/// Same for the 16-bit pass.
+inline constexpr std::size_t kMaxEndCellRows16 = 32767;
 
 /// One 16-bit lane-group pass for candidates whose 8-bit lane saturated.
 /// Signed arithmetic with an explicit zero floor, mirroring striped_i16.
@@ -68,6 +80,9 @@ struct BatchPass16Args {
   int* best = nullptr;
   std::size_t* t_end = nullptr;
   std::uint8_t* saturated = nullptr;  ///< best >= 32767: scalar rerun
+  /// As in BatchPass8Args; exact while m <= kMaxEndCellRows16.
+  std::size_t* end_row = nullptr;
+  std::size_t* end_col = nullptr;
 };
 
 /// Per-ISA function table. Each per-ISA TU exposes its table when the build

@@ -22,6 +22,39 @@ SeedWindow project_seed_window(std::size_t query_len,
   return w;
 }
 
+LocalAlignment anchored_traceback(std::span<const std::uint8_t> query,
+                                  std::span<const std::uint8_t> window,
+                                  const StripedResult& screen,
+                                  const Scoring& sc, std::uint64_t* cells) {
+  std::uint64_t computed = 0;
+  LocalAlignment aln;
+  if (!screen.end_cell) {
+    computed = static_cast<std::uint64_t>(query.size()) * window.size();
+    aln = smith_waterman(query, window, sc);
+  } else {
+    const std::size_t q_end = screen.end_cell->q_end;
+    const std::size_t t_end = screen.end_cell->t_end;
+    std::size_t band = std::max(q_end, t_end);
+    if (sc.gap_extend > 0 && sc.gap_open >= 0) {
+      const long long slack =
+          static_cast<long long>(std::max(sc.match, sc.mismatch)) *
+              static_cast<long long>(std::min(q_end, t_end)) -
+          screen.score - sc.gap_open;
+      band = std::min(band, static_cast<std::size_t>(
+                                std::max(0LL, slack / sc.gap_extend)));
+    }
+    const auto diag = static_cast<std::ptrdiff_t>(t_end) -
+                      static_cast<std::ptrdiff_t>(q_end);
+    computed = banded_cells(q_end, t_end, diag, band);
+    aln = banded_smith_waterman(query.first(q_end), window.first(t_end), diag,
+                                band, sc);
+    aln.cigar.push(CigarOp::kSoftClip,
+                   static_cast<std::uint32_t>(query.size() - q_end));
+  }
+  if (cells) *cells += computed;
+  return aln;
+}
+
 Extension extend_seed(std::span<const std::uint8_t> query,
                       const seq::PackedSeq& target, std::size_t q_off,
                       std::size_t t_off, int k, const ExtensionConfig& cfg,
@@ -44,9 +77,9 @@ Extension extend_seed(std::span<const std::uint8_t> query,
       // window; band half-width = window_pad covers the padding budget.
       const auto diag = static_cast<std::ptrdiff_t>(t_off - w.begin) -
                         static_cast<std::ptrdiff_t>(q_off);
-      ext.aln = banded_smith_waterman(query, window, diag,
-                                      std::max<std::size_t>(cfg.window_pad, 8),
-                                      cfg.scoring);
+      const std::size_t band = std::max<std::size_t>(cfg.window_pad, 8);
+      ext.aln = banded_smith_waterman(query, window, diag, band, cfg.scoring);
+      ext.traceback_cells = banded_cells(m, window.size(), diag, band);
       break;
     }
     case SwKernel::kStriped: {
@@ -63,6 +96,7 @@ Extension extend_seed(std::span<const std::uint8_t> query,
         return ext;
       }
       ext.aln = smith_waterman(query, window, cfg.scoring);
+      ext.traceback_cells = static_cast<std::uint64_t>(m) * window.size();
       break;
     }
     case SwKernel::kBatch: {
@@ -77,11 +111,13 @@ Extension extend_seed(std::span<const std::uint8_t> query,
         ext.aln.score = sr.score;
         return ext;
       }
-      ext.aln = smith_waterman(query, window, cfg.scoring);
+      ext.aln = anchored_traceback(query, window, sr, cfg.scoring,
+                                   &ext.traceback_cells);
       break;
     }
     case SwKernel::kFullDP:
       ext.aln = smith_waterman(query, window, cfg.scoring);
+      ext.traceback_cells = static_cast<std::uint64_t>(m) * window.size();
       break;
   }
   ext.aln.t_begin += w.begin;
@@ -140,7 +176,8 @@ std::vector<Extension> extend_candidates(std::span<const std::uint8_t> query,
       out[c].aln.score = sr.score;  // screened out, same as extend_seed
       continue;
     }
-    out[c].aln = smith_waterman(query, windows[c], cfg.scoring);
+    out[c].aln = anchored_traceback(query, windows[c], sr, cfg.scoring,
+                                    &out[c].traceback_cells);
     out[c].aln.t_begin += out[c].window_begin;
     out[c].aln.t_end += out[c].window_begin;
   }

@@ -36,7 +36,9 @@ enum class SwKernel : std::uint8_t {
   /// Inter-candidate batch SIMD score pass (batch_sw) as a pre-screen: all of
   /// a query's candidate windows are packed one-per-lane and screened in one
   /// DP sweep on the widest available ISA (see ExtensionConfig::isa).
-  /// Screening decisions and scores are bit-identical to kStriped.
+  /// Screening decisions and scores are bit-identical to kStriped; survivors
+  /// trace back inside a score-bounded band anchored at the end cell the
+  /// screen reports (anchored_traceback), for the same alignment.
   kBatch,
 };
 
@@ -56,7 +58,27 @@ struct Extension {
   LocalAlignment aln;        ///< coordinates within query / full target
   std::size_t window_begin = 0;  ///< target window used (diagnostics)
   std::size_t window_end = 0;
+  /// DP cells the traceback kernel computed (0 when screened out).
+  std::uint64_t traceback_cells = 0;
 };
+
+/// Traceback of a candidate the score screen passed, bit-identical to
+/// smith_waterman(query, window, sc). With the screen's end cell (q_end,
+/// t_end) and score S it runs banded_smith_waterman over query[0, q_end) x
+/// window[0, t_end) on diagonal t_end - q_end with half-width
+///   W = max(0, (max(match, mismatch) * min(q_end, t_end) - S - gap_open)
+///              / gap_extend)
+/// (the whole box when gap penalties are not positive), then soft-clips the
+/// query tail. Exact because any alignment tying the traced one, joined to
+/// the traced suffix, is another score-S alignment ending at the end cell,
+/// so it drifts at most W from that diagonal; and every cell before the end
+/// cell in row-major order scores below S, so the band's own first maximum
+/// is the end cell. Without an end cell it calls smith_waterman. `cells`,
+/// when non-null, accumulates the DP cells the traceback computed.
+[[nodiscard]] LocalAlignment anchored_traceback(
+    std::span<const std::uint8_t> query, std::span<const std::uint8_t> window,
+    const StripedResult& screen, const Scoring& sc = {},
+    std::uint64_t* cells = nullptr);
 
 /// Target window implied by a seed: the query's projected span on the seed
 /// diagonal, padded by window_pad and clipped to the target. begin >= end

@@ -109,21 +109,28 @@ Pass8Result striped_u8(std::span<const std::uint8_t> target,
       vH = Hload[i];
     }
     // Lazy F: propagate F across segment boundaries until it stops mattering.
+    // A lane is settled once F left its H unchanged AND the next row's F
+    // cannot beat H - gap_open (which the main loop already propagated). An
+    // unchanged H alone is not enough: F - gap_extend can still exceed
+    // H - gap_open and raise a later row.
     for (int lane = 0; lane < 16; ++lane) {
       vF = _mm_slli_si128(vF, 1);
-      bool changed = false;
-      for (std::size_t i = 0; i < seglen; ++i) {
-        __m128i vH2 = _mm_max_epu8(Hstore[i], vF);
-        const __m128i neq =
-            _mm_cmpeq_epi8(vH2, Hstore[i]);  // 0xFF where unchanged
-        if (_mm_movemask_epi8(neq) != 0xFFFF) changed = true;
+      bool live = true;
+      for (std::size_t i = 0; i < seglen && live; ++i) {
+        const __m128i vHold = Hstore[i];
+        const __m128i vH2 = _mm_max_epu8(vHold, vF);
         Hstore[i] = vH2;
         vColMax = _mm_max_epu8(vColMax, vH2);
         const __m128i vHgap = _mm_subs_epu8(vH2, vGapO);
         Evec[i] = _mm_max_epu8(Evec[i], vHgap);
         vF = _mm_subs_epu8(vF, vGapE);
+        // F <= H - gap_open <=> (F -sat (H - gap_open)) == 0.
+        const __m128i settled =
+            _mm_and_si128(_mm_cmpeq_epi8(vH2, vHold),
+                          _mm_cmpeq_epi8(_mm_subs_epu8(vF, vHgap), vZero));
+        live = _mm_movemask_epi8(settled) != 0xFFFF;
       }
-      if (!changed) break;
+      if (!live) break;
     }
     vMax = _mm_max_epu8(vMax, vColMax);
     // Track best column for t_end.
@@ -178,18 +185,20 @@ Pass16Result striped_i16(std::span<const std::uint8_t> target,
     }
     for (int lane = 0; lane < 8; ++lane) {
       vF = _mm_slli_si128(vF, 2);
-      bool changed = false;
-      for (std::size_t i = 0; i < seglen; ++i) {
-        const __m128i vH2 = _mm_max_epi16(Hstore[i], vF);
-        const __m128i eq = _mm_cmpeq_epi16(vH2, Hstore[i]);
-        if (_mm_movemask_epi8(eq) != 0xFFFF) changed = true;
+      bool live = true;
+      for (std::size_t i = 0; i < seglen && live; ++i) {
+        const __m128i vHold = Hstore[i];
+        const __m128i vH2 = _mm_max_epi16(vHold, vF);
         Hstore[i] = vH2;
         vColMax = _mm_max_epi16(vColMax, vH2);
         const __m128i vHgap = _mm_max_epi16(_mm_subs_epi16(vH2, vGapO), vZero);
         Evec[i] = _mm_max_epi16(Evec[i], vHgap);
         vF = _mm_subs_epi16(vF, vGapE);
+        const __m128i settled = _mm_andnot_si128(
+            _mm_cmpgt_epi16(vF, vHgap), _mm_cmpeq_epi16(vH2, vHold));
+        live = _mm_movemask_epi8(settled) != 0xFFFF;
       }
-      if (!changed) break;
+      if (!live) break;
     }
     alignas(16) std::int16_t lanes[8];
     _mm_store_si128(reinterpret_cast<__m128i*>(lanes), vColMax);
@@ -229,9 +238,12 @@ StripedResult striped_scalar_score(std::span<const std::uint8_t> query,
       // t_end wins. The row-major scan must therefore keep shrinking t_end
       // on equal-score cells in later rows, not just take the first best
       // cell it happens to visit (which is NOT the smallest column).
+      // The first strict raise in row-major order is smith_waterman's own
+      // end cell (its `h > best` rule).
       if (H[j] > r.score) {
         r.score = H[j];
         r.t_end = j - 1;
+        r.end_cell = SwEndCell{i, j};
       } else if (H[j] == r.score && r.score > 0 && j - 1 < r.t_end) {
         r.t_end = j - 1;
       }
@@ -248,10 +260,10 @@ StripedResult StripedSmithWaterman::align(
   const int ge = sc_.gap_extend;
   const Pass8Result p8 = striped_u8(target_codes, profile8_.data(), seglen8_,
                                     bias_, go, ge);
-  if (!p8.saturated) return {p8.score, p8.t_end, false};
+  if (!p8.saturated) return {p8.score, p8.t_end, false, std::nullopt};
   const Pass16Result p16 =
       striped_i16(target_codes, profile16_.data(), seglen16_, go, ge);
-  return {p16.score, p16.t_end, true};
+  return {p16.score, p16.t_end, true, std::nullopt};
 #else
   return striped_scalar_score(std::span<const std::uint8_t>(query_),
                               target_codes, sc_);

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -18,6 +19,15 @@
 
 namespace mera::align {
 
+/// smith_waterman's own end cell, as the half-open ends it reports
+/// (LocalAlignment::q_end / t_end): the FIRST cell in row-major order (query
+/// row, then target column) that reaches the best score.
+struct SwEndCell {
+  std::size_t q_end = 0;
+  std::size_t t_end = 0;
+  friend bool operator==(const SwEndCell&, const SwEndCell&) = default;
+};
+
 struct StripedResult {
   int score = 0;
   /// 0-based target position of the last column of the best alignment.
@@ -25,13 +35,18 @@ struct StripedResult {
   /// among all cells achieving the best score, the SMALLEST t_end wins.
   std::size_t t_end = 0;
   bool used_16bit = false;  ///< 8-bit pass saturated and was retried
+  /// smith_waterman's end cell when the engine tracked it and score > 0:
+  /// the batch screen's lane-group passes and striped_scalar_score report
+  /// it; StripedSmithWaterman's SIMD passes (and so the batch per-pair
+  /// backstop on SIMD builds) do not.
+  std::optional<SwEndCell> end_cell;
 };
 
 /// Scalar reference for the score-only kernels: exact local-alignment score
-/// plus the pinned smallest-t_end tie-break. Always compiled — every SIMD
-/// tier (striped SSE2, batch SSE2/AVX2/AVX-512) is property-tested against
-/// it — and it is the fallback the kernels use on non-SSE2 builds and under
-/// MERA_FORCE_SCALAR_SW.
+/// plus the pinned smallest-t_end tie-break, and smith_waterman's end cell.
+/// Always compiled — every SIMD tier (striped SSE2, batch SSE2/AVX2/AVX-512)
+/// is property-tested against it — and it is the fallback the kernels use on
+/// non-SSE2 builds and under MERA_FORCE_SCALAR_SW.
 [[nodiscard]] StripedResult striped_scalar_score(
     std::span<const std::uint8_t> query, std::span<const std::uint8_t> target,
     const Scoring& sc = {});

@@ -252,6 +252,7 @@ class RankAligner {
         st_.sw_cells += static_cast<std::uint64_t>(
                             ext.window_end - ext.window_begin) *
                         qcodes.size();
+        st_.traceback_cells += ext.traceback_cells;
         if (ext.aln.score >= min_score_ && !ext.aln.empty()) {
           AlignmentRecord rec;
           rec.query_name = name;
@@ -279,6 +280,7 @@ class RankAligner {
         st_.sw_cells += static_cast<std::uint64_t>(
                             ext.window_end - ext.window_begin) *
                         qcodes.size();
+        st_.traceback_cells += ext.traceback_cells;
         if (ext.aln.score >= min_score_ && !ext.aln.empty()) {
           AlignmentRecord rec;
           rec.query_name = name;
@@ -358,8 +360,9 @@ class RankAligner {
   }
 
   /// PooledExtensionQueue callback: a deferred candidate got its screening
-  /// score. Survivors pay the full-DP traceback now (same kernel, window and
-  /// thresholds as the per-read flush, so the record bytes are identical).
+  /// score. Survivors pay the anchored traceback now (same traceback, window
+  /// and thresholds as the per-read flush, so the record bytes are
+  /// identical).
   void resolve_slot(std::size_t idx, const align::StripedResult& sr) {
     PooledSlot& s = slots_[idx];
     s.resolved = true;
@@ -367,8 +370,9 @@ class RankAligner {
     const auto window =
         align::dna_codes(*s.target, s.window_begin,
                          s.window_end - s.window_begin);
-    auto aln = align::smith_waterman(pool_->query_codes(s.qid), window,
-                                     sh_.cfg.extension.scoring);
+    auto aln = align::anchored_traceback(
+        pool_->query_codes(s.qid), window, sr, sh_.cfg.extension.scoring,
+        &st_.traceback_cells);
     aln.t_begin += s.window_begin;
     aln.t_end += s.window_begin;
     if (aln.score < min_score_ || aln.empty()) return;
@@ -502,6 +506,9 @@ void add_batch_metrics(const BatchResult& res, const SessionConfig& cfg) {
       .add(static_cast<double>(res.stats.sw_calls));
   reg.counter("mera_sw_cells_total", sw_labels, "DP cells scored")
       .add(static_cast<double>(res.stats.sw_cells));
+  reg.counter("mera_sw_traceback_cells_total", sw_labels,
+              "DP cells computed by the traceback kernels")
+      .add(static_cast<double>(res.stats.traceback_cells));
   // Aggregate throughput of this batch's align phase: summed cells over the
   // phase's simulated parallel time (the paper's GCUPS axis).
   const double align_s = res.report.time_of("align");

@@ -20,6 +20,7 @@ void PipelineStats::print(std::ostream& os) const {
      << target_cache_hits << ")\n"
      << "Smith-Waterman calls " << sw_calls << "  (" << sw_cells
      << " DP cells)\n"
+     << "traceback cells      " << traceback_cells << '\n'
      << "memcmp fast paths    " << memcmp_calls << '\n'
      << "lookups truncated    " << hits_truncated << '\n'
      << "comm (lookups)       " << std::setprecision(4) << comm_lookup_s

@@ -20,6 +20,10 @@ struct PipelineStats {
   std::uint64_t target_cache_hits = 0;
   std::uint64_t sw_calls = 0;            ///< Smith-Waterman extensions run
   std::uint64_t sw_cells = 0;            ///< DP cells scored (window x query)
+  /// DP cells the traceback kernels computed: the whole window for the full
+  /// DP, the band for the anchored traceback (engine-dependent, unlike
+  /// sw_cells).
+  std::uint64_t traceback_cells = 0;
   std::uint64_t memcmp_calls = 0;        ///< exact-match fast-path comparisons
   std::uint64_t exact_match_reads = 0;   ///< reads resolved by the Lemma-1 path
   std::uint64_t hits_truncated = 0;      ///< lookups clipped by max_hits_per_seed
@@ -40,6 +44,7 @@ struct PipelineStats {
     target_cache_hits += o.target_cache_hits;
     sw_calls += o.sw_calls;
     sw_cells += o.sw_cells;
+    traceback_cells += o.traceback_cells;
     memcmp_calls += o.memcmp_calls;
     exact_match_reads += o.exact_match_reads;
     hits_truncated += o.hits_truncated;

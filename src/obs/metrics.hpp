@@ -165,8 +165,11 @@ class MetricsRegistry {
     std::unique_ptr<Histogram> histogram;
   };
 
+  /// Looks the series up and, on first registration, creates its metric
+  /// object (a histogram from `bounds`) while still holding the lock.
   Series& find_or_create(const std::string& name, const Labels& labels,
-                         Kind kind, const std::string& help);
+                         Kind kind, const std::string& help,
+                         std::vector<double> bounds = {});
 
   mutable std::mutex mu_;
   /// Key = name + rendered labels; map gives the deterministic export order.

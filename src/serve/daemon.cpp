@@ -465,6 +465,9 @@ void Daemon::bridge_tenant_metrics(const std::string& tenant,
       .add(static_cast<double>(res.stats.sw_calls));
   reg.counter("mera_sw_cells_total", sw_labels, "DP cells scored")
       .add(static_cast<double>(res.stats.sw_cells));
+  reg.counter("mera_sw_traceback_cells_total", sw_labels,
+              "DP cells computed by the traceback kernels")
+      .add(static_cast<double>(res.stats.traceback_cells));
 }
 
 // ---- stats ------------------------------------------------------------------

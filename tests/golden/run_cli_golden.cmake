@@ -6,10 +6,11 @@
 #   WORKDIR - scratch directory for this run
 #
 # Scenarios:
-#   1. single batch, one run per --sw kernel (full/banded/striped/batch): all
-#      four must produce the SAME golden SAM — the banded, striped and batch
-#      kernels are exact over their windows, so kernel choice must not change
-#      output; --sw batch additionally runs once per pinned --sw-isa tier
+#   1. single batch, one run per --sw kernel (full/banded/striped/batch) and
+#      one with no --sw (the default engine): all must produce the SAME
+#      golden SAM — the banded, striped and batch kernels are exact over
+#      their windows, so kernel choice must not change output; --sw batch
+#      additionally runs once per pinned --sw-isa tier
 #   2. multi batch:   --reads reads_a --reads reads_b (one index, two batches)
 #                     -> the SAME record set, since per-read results depend
 #                     only on the prebuilt index, not on batch boundaries
@@ -87,6 +88,25 @@ foreach(sw full banded striped batch)
   endif()
   check_sam(${WORKDIR}/out_${sw}.sam "single-batch --sw ${sw}")
 endforeach()
+
+# No --sw at all: the default engine (pooled batch with the anchored
+# traceback) must hit the same golden bytes as its --sw full oracle.
+execute_process(
+  COMMAND ${CLI}
+    --targets ${WORKDIR}/contigs.fa
+    --reads ${WORKDIR}/reads.fastq
+    --out ${WORKDIR}/out_default_sw.sam
+    --k 31 --ranks 4 --ppn 2 --no-permute --stats
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE out
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "meraligner_cli without --sw exited with ${rc}\nstdout:\n${out}\nstderr:\n${err}")
+endif()
+if(NOT err MATCHES "traceback cells")
+  message(FATAL_ERROR "--stats did not print the traceback cells line:\n${err}")
+endif()
+check_sam(${WORKDIR}/out_default_sw.sam "single-batch, default --sw")
 
 # The batch engine pinned to its scalar tier must still hit the golden bytes
 # (the SIMD tiers are covered by the loop above via auto-dispatch; scalar is

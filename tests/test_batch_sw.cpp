@@ -1,13 +1,15 @@
 // Equivalence and dispatch tests for the inter-candidate batch SW engine.
 // The central contract: on EVERY dispatch tier this host supports, the batch
 // scorer's score / t_end (smallest-t_end tie-break) are bit-identical to the
-// scalar reference and to the per-pair striped kernel.
+// scalar reference and to the per-pair striped kernel, and the end cell it
+// reports anchors a traceback bit-identical to smith_waterman.
 #include "align/batch_sw.hpp"
 
 #include "test_util.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <random>
 #include <string>
@@ -248,6 +250,208 @@ TEST(SwIsaDispatch, UnsupportedExplicitTierThrows) {
       return;
     }
   GTEST_SKIP() << "every SIMD tier is supported on this host";
+}
+
+// ---------------------------------------------------------------------------
+// End cell + anchored traceback: bit-identical to smith_waterman
+// ---------------------------------------------------------------------------
+
+/// Codes drawn from the first `alphabet` residues (1 = a homopolymer world).
+std::vector<std::uint8_t> random_codes(std::mt19937_64& rng, std::size_t len,
+                                       unsigned alphabet) {
+  std::vector<std::uint8_t> v(len);
+  for (auto& c : v) c = static_cast<std::uint8_t>(rng() % alphabet);
+  return v;
+}
+
+/// `unit` repeated until `len` codes.
+std::vector<std::uint8_t> tandem(const std::vector<std::uint8_t>& unit,
+                                 std::size_t len) {
+  std::vector<std::uint8_t> v(len);
+  for (std::size_t i = 0; i < len; ++i) v[i] = unit[i % unit.size()];
+  return v;
+}
+
+/// Copy of `src` with ~rate substitutions, insertions and deletions each.
+std::vector<std::uint8_t> mutate(std::mt19937_64& rng,
+                                 const std::vector<std::uint8_t>& src,
+                                 unsigned alphabet, double rate) {
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  std::vector<std::uint8_t> out;
+  for (const std::uint8_t c : src) {
+    const double x = u(rng);
+    if (x < rate) continue;  // deletion
+    if (x < 2 * rate)        // insertion before c
+      out.push_back(static_cast<std::uint8_t>(rng() % alphabet));
+    const bool substitute = x >= 2 * rate && x < 3 * rate;
+    out.push_back(substitute ? static_cast<std::uint8_t>(rng() % alphabet)
+                             : c);
+  }
+  return out;
+}
+
+void expect_same_alignment(const LocalAlignment& got,
+                           const LocalAlignment& want,
+                           const std::string& what) {
+  ASSERT_EQ(got.score, want.score) << what;
+  ASSERT_EQ(got.q_begin, want.q_begin) << what;
+  ASSERT_EQ(got.q_end, want.q_end) << what;
+  ASSERT_EQ(got.t_begin, want.t_begin) << what;
+  ASSERT_EQ(got.t_end, want.t_end) << what;
+  ASSERT_EQ(got.cigar.to_string(), want.cigar.to_string()) << what;
+  ASSERT_EQ(got.mismatches, want.mismatches) << what;
+  ASSERT_EQ(got.gap_columns, want.gap_columns) << what;
+}
+
+/// A query for the property sweep: random, tandem or long (250-300 rows,
+/// past the 8-bit pass's end-cell row limit).
+std::vector<std::uint8_t> sweep_query(std::mt19937_64& rng, unsigned alphabet) {
+  switch (rng() % 4) {
+    case 0:
+      return tandem(random_codes(rng, 1 + rng() % 6, alphabet),
+                    20 + rng() % 130);
+    case 1:
+      return random_codes(rng, 250 + rng() % 51, alphabet);
+    default:
+      return random_codes(rng, 1 + rng() % 150, alphabet);
+  }
+}
+
+/// A candidate window for `q`: empty, random, tandem, a mutated copy of the
+/// query (indels included) inside random flanks, or two copies (ties).
+std::vector<std::uint8_t> sweep_target(std::mt19937_64& rng,
+                                       const std::vector<std::uint8_t>& q,
+                                       unsigned alphabet) {
+  const auto flank = [&] { return random_codes(rng, rng() % 24, alphabet); };
+  std::vector<std::uint8_t> t;
+  switch (rng() % 6) {
+    case 0:
+      return t;
+    case 1:
+      return random_codes(rng, 1 + rng() % 330, alphabet);
+    case 2:
+      return tandem(random_codes(rng, 1 + rng() % 6, alphabet),
+                    1 + rng() % 200);
+    case 5: {
+      t = flank();
+      const auto a = mutate(rng, q, alphabet, 0.02);
+      const auto b = mutate(rng, q, alphabet, 0.02);
+      t.insert(t.end(), a.begin(), a.end());
+      t.insert(t.end(), b.begin(), b.end());
+      return t;
+    }
+    default: {
+      t = flank();
+      const auto m = mutate(rng, q, alphabet, 0.01 * (rng() % 8));
+      t.insert(t.end(), m.begin(), m.end());
+      const auto tail = flank();
+      t.insert(t.end(), tail.begin(), tail.end());
+      return t;
+    }
+  }
+}
+
+TEST(AnchoredTraceback, EndCellAndTracebackMatchSmithWaterman) {
+  std::mt19937_64 rng(81);
+  std::size_t candidates = 0;
+  // Scoring SIMD-lane results that took the anchored path / the fallback.
+  std::size_t anchored = 0, fallback = 0;
+  for (const Scoring sc :
+       {Scoring{}, Scoring{1, -3, 5, 2}, Scoring{3, -1, 1, 1}}) {
+    for (int round = 0; round < 6; ++round) {
+      const unsigned alphabet = 1 + static_cast<unsigned>(round % 4);
+      // Several queries of mixed lengths in one flush, so lane groups mix
+      // row counts (padding) and some exceed the 8-bit end-cell row limit.
+      std::vector<std::vector<std::uint8_t>> queries, targets;
+      std::vector<std::size_t> query_of;
+      for (int qi = 0; qi < 4; ++qi) queries.push_back(sweep_query(rng, alphabet));
+      for (int c = 0; c < 48; ++c) {
+        query_of.push_back(rng() % queries.size());
+        targets.push_back(sweep_target(rng, queries[query_of.back()], alphabet));
+      }
+      std::vector<LocalAlignment> want;
+      for (std::size_t c = 0; c < targets.size(); ++c)
+        want.push_back(smith_waterman(
+            std::span<const std::uint8_t>(queries[query_of[c]]),
+            std::span<const std::uint8_t>(targets[c]), sc));
+      candidates += targets.size();
+
+      const auto check = [&](const StripedResult& r, std::size_t c,
+                             const std::string& what) {
+        const auto& q = queries[query_of[c]];
+        ASSERT_EQ(r.score, want[c].score) << what;
+        if (r.end_cell) {
+          ASSERT_GT(r.score, 0) << what;
+          ASSERT_EQ(r.end_cell->q_end, want[c].q_end) << what;
+          ASSERT_EQ(r.end_cell->t_end, want[c].t_end) << what;
+        }
+        std::uint64_t cells = 0;
+        const LocalAlignment got =
+            anchored_traceback(q, targets[c], r, sc, &cells);
+        expect_same_alignment(got, want[c], what);
+        ASSERT_LE(cells, static_cast<std::uint64_t>(q.size()) *
+                             targets[c].size())
+            << what;
+      };
+
+      // The scalar reference always reports the end cell of a scoring pair.
+      for (std::size_t c = 0; c < targets.size(); ++c) {
+        const auto r = striped_scalar_score(queries[query_of[c]], targets[c], sc);
+        ASSERT_EQ(r.end_cell.has_value(), r.score > 0) << "scalar ref c=" << c;
+        check(r, c, "scalar ref round=" + std::to_string(round) +
+                        " c=" + std::to_string(c));
+      }
+      for (const SwIsa isa : supported_tiers()) {
+        BatchSwScorer scorer(sc, isa);
+        std::vector<std::size_t> qid;
+        for (const auto& q : queries) qid.push_back(scorer.add_query(q));
+        for (std::size_t c = 0; c < targets.size(); ++c)
+          scorer.add(qid[query_of[c]], targets[c]);
+        const auto got = scorer.flush();
+        for (std::size_t c = 0; c < targets.size(); ++c) {
+          // SIMD lanes report the end cell unless the row limit or the
+          // per-pair backstop intervened; a short-query lane never lacks it.
+          if (isa != SwIsa::kScalar && got[c].score > 0 &&
+              queries[query_of[c]].size() <= 150 &&
+              std::all_of(queries.begin(), queries.end(),
+                          [](const auto& q) { return q.size() <= 255; }))
+            ASSERT_TRUE(got[c].end_cell.has_value()) << isa_name(isa);
+          if (isa != SwIsa::kScalar && got[c].score > 0)
+            ++(got[c].end_cell ? anchored : fallback);
+          check(got[c], c,
+                std::string(isa_name(isa)) + " round=" + std::to_string(round) +
+                    " c=" + std::to_string(c));
+        }
+      }
+    }
+  }
+  EXPECT_GE(candidates, 800u);
+  if (isa_lanes8(SwIsa::kAuto) > 1) {
+    EXPECT_GT(anchored, 0u);
+    EXPECT_GT(fallback, 0u);  // 8-bit groups past the row limit
+  }
+}
+
+TEST_P(BatchSwTiers, EndCellIsFirstInRowMajorOrderNotSmallestTEnd) {
+  const SwIsa isa = GetParam();
+  if (!isa_supported(isa)) GTEST_SKIP() << "tier not supported on this host";
+  if (isa == SwIsa::kScalar) GTEST_SKIP() << "the scalar tier reports no cell";
+  const Scoring sc;
+  // Query CCCCGGGG vs target GGGGTTTTCCCC: both halves score 8. CCCC ends
+  // in row 4 at column 12, GGGG in row 8 at column 4 — smith_waterman keeps
+  // the row-major first (4, 12), the t_end contract the smallest column.
+  const auto qc = dna_codes(std::string_view("CCCCGGGG"));
+  const auto tc = dna_codes(std::string_view("GGGGTTTTCCCC"));
+  BatchSwScorer scorer(qc, sc, isa);
+  scorer.add(tc);
+  const auto r = scorer.flush().front();
+  const auto want = smith_waterman(std::span<const std::uint8_t>(qc),
+                                   std::span<const std::uint8_t>(tc), sc);
+  EXPECT_EQ(r.score, 8);
+  EXPECT_EQ(r.t_end, 3u);
+  ASSERT_TRUE(r.end_cell.has_value());
+  EXPECT_EQ(*r.end_cell, (SwEndCell{4, 12}));
+  EXPECT_EQ(*r.end_cell, (SwEndCell{want.q_end, want.t_end}));
 }
 
 // extend_candidates(kBatch) must reproduce per-candidate extend_seed

@@ -71,6 +71,36 @@ TEST_P(StripedSchemes, MatchesReference) {
   }
 }
 
+// A query insertion is a vertical gap: its F chain runs down the query
+// rows, which in a short query are one row per lane, so it crosses lanes
+// through the lazy-F loop. That loop used to stop at the first pass that
+// changed no H, dropping an F that could still raise a later row.
+TEST_P(StripedSchemes, VerticalGapsAcrossStripeLanes) {
+  std::mt19937_64 rng(54);
+  const Scoring sc = GetParam().sc;
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::string q = random_dna(rng, 8 + rng() % 40);
+    std::string t = q;
+    t.erase(2 + rng() % (q.size() - 6), 1 + rng() % 4);
+    t = random_dna(rng, rng() % 20) + t + random_dna(rng, rng() % 20);
+    const StripedSmithWaterman ssw(q, sc);
+    ASSERT_EQ(ssw.align(t).score,
+              sw_score_reference(std::span<const std::uint8_t>(dna_codes(q)),
+                                 std::span<const std::uint8_t>(dna_codes(t)),
+                                 sc))
+        << "q=" << q << " t=" << t;
+  }
+}
+
+TEST(StripedSw, TwoBaseQueryInsertionInAShortQuery) {
+  // CGA[AC]GGGTA vs ...CGAGGGTA...: 8 matches and a 2-base vertical gap
+  // score 16 - (3 + 2) = 11; the early lazy-F exit reported 10.
+  const Scoring sc;
+  const StripedSmithWaterman ssw(std::string_view("CGAACGGGTA"), sc);
+  EXPECT_EQ(ssw.align("ATTACACGATTCGAGGGTAGAAAGTGTTTAACAACATAAAAGCT").score,
+            11);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Schemes, StripedSchemes,
     ::testing::Values(SchemeCase{{2, -2, 3, 1}, "ssw_default"},

@@ -191,7 +191,8 @@ inline EngineOptions parse_engine_options(const Args& args) {
   scfg.seed_cache = !args.has("no-seed-cache");
   scfg.target_cache = !args.has("no-target-cache");
   scfg.permute_queries = !args.has("no-permute");
-  scfg.extension.kernel = parse_kernel(args.get("sw", "full"));
+  // The pooled batch engine is the default; --sw full is its oracle.
+  scfg.extension.kernel = parse_kernel(args.get("sw", "batch"));
   // Only the batch kernel dispatches on ISA and pools candidates.
   if (args.has("sw-isa")) {
     if (scfg.extension.kernel != align::SwKernel::kBatch)

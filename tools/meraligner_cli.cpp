@@ -4,7 +4,7 @@
 //   meraligner --targets contigs.fa --reads batch1.{fastq,sdb}
 //              [--reads batch2.fastq ...] [--out out.sam] [--k 51]
 //              [--ranks 8] [--ppn 4] [--S 1000] [--max-hits 32]
-//              [--fragment-len 1024] [--sw full|banded|striped|batch]
+//              [--fragment-len 1024] [--sw batch|full|banded|striped]
 //              [--sw-isa auto|...|help] [--sw-pool on|off|N] [--no-exact]
 //              [--no-seed-cache] [--no-target-cache] [--no-aggregation]
 //              [--no-permute] [--stats]
@@ -77,7 +77,7 @@ constexpr const char* kUsage =
     "meraligner --targets contigs.fa --reads batch1.{fastq,sdb}\n"
     "           [--reads batch2.fastq ...] [--out out.sam] [--k 51]\n"
     "           [--ranks 8] [--ppn 4] [--S 1000] [--max-hits 32]\n"
-    "           [--fragment-len 1024] [--sw full|banded|striped|batch]\n"
+    "           [--fragment-len 1024] [--sw batch|full|banded|striped]\n"
     "           [--sw-isa auto|scalar|sse2|avx2|avx512|help]\n"
     "           [--sw-pool on|off|N]\n"
     "           [--no-exact] [--no-seed-cache] [--no-target-cache]\n"
@@ -101,18 +101,22 @@ constexpr const char* kUsage =
     "--load-cache DIR warm-starts from such a snapshot (same reference,\n"
     "topology and cost model required). Warm runs emit the same SAM bytes\n"
     "as cold ones — only the remote-lookup work changes.\n"
-    "--sw batch screens each read's candidates in one inter-candidate SIMD\n"
-    "sweep; --sw-isa (or MERA_SW_ISA in the environment) pins its dispatch\n"
-    "tier — the default auto picks the widest the CPU supports. Every tier\n"
-    "emits bit-identical SAM. --sw-isa help (or MERA_SW_ISA=help) prints the\n"
-    "tiers this build and CPU actually support, then exits.\n"
+    "--sw picks the Smith-Waterman engine (default: batch). batch screens\n"
+    "candidates in inter-candidate SIMD sweeps and traces back survivors in\n"
+    "a band anchored at the end cell the screen reports; full runs the exact\n"
+    "full-window DP on every candidate (the reference); banded and striped\n"
+    "are ablations. Every engine emits bit-identical SAM.\n"
+    "--sw-isa (or MERA_SW_ISA in the environment) pins the batch engine's\n"
+    "dispatch tier — the default auto picks the widest the CPU supports.\n"
+    "Every tier emits bit-identical SAM. --sw-isa help (or MERA_SW_ISA=help)\n"
+    "prints the tiers this build and CPU actually support, then exits.\n"
     "--sw-pool pools candidates ACROSS reads into query-length-class buckets\n"
     "and flushes a bucket through the batch engine only once it can fill the\n"
-    "tier's SIMD lanes (on = default for --sw batch, auto threshold; off =\n"
-    "flush per read, the pre-pooling behaviour; N = explicit per-bucket\n"
-    "flush threshold). Pooling replays results in exact per-read order, so\n"
-    "SAM bytes and stats are identical at every setting — only lane\n"
-    "occupancy (mera_sw_lane_* metrics) and seconds change.\n"
+    "tier's SIMD lanes (on = default, auto threshold; off = flush per read,\n"
+    "the pre-pooling behaviour; N = explicit per-bucket flush threshold).\n"
+    "Pooling replays results in exact per-read order, so SAM bytes and\n"
+    "stats are identical at every setting — only lane occupancy\n"
+    "(mera_sw_lane_* metrics) and seconds change.\n"
     "--trace FILE.json records a Chrome Trace Event timeline (open in\n"
     "chrome://tracing or ui.perfetto.dev); --metrics FILE dumps the metrics\n"
     "registry as JSON (--metrics-format prom for Prometheus text). Neither\n"

@@ -3,7 +3,7 @@
 // Usage:
 //   meralignerd --targets contigs.fa --socket /run/mera.sock
 //               [--k 51] [--ranks 8] [--ppn 4] [--S 1000] [--max-hits 32]
-//               [--fragment-len 1024] [--sw full|banded|striped|batch]
+//               [--fragment-len 1024] [--sw batch|full|banded|striped]
 //               [--sw-isa auto|...] [--sw-pool on|off|N] [--no-exact]
 //               [--no-seed-cache] [--no-target-cache] [--no-aggregation]
 //               [--no-permute] [--cache-admission]
@@ -50,7 +50,7 @@ namespace {
 constexpr const char* kUsage =
     "meralignerd --targets contigs.fa --socket /run/mera.sock\n"
     "            [--k 51] [--ranks 8] [--ppn 4] [--S 1000] [--max-hits 32]\n"
-    "            [--fragment-len 1024] [--sw full|banded|striped|batch]\n"
+    "            [--fragment-len 1024] [--sw batch|full|banded|striped]\n"
     "            [--sw-isa auto|scalar|sse2|avx2|avx512] [--sw-pool on|off|N]\n"
     "            [--no-exact] [--no-seed-cache] [--no-target-cache]\n"
     "            [--no-aggregation] [--no-permute] [--cache-admission]\n"
@@ -68,7 +68,10 @@ constexpr const char* kUsage =
     "atomically - a crash never loses the last good snapshot); --load-cache\n"
     "warm-starts from that directory. SIGINT/SIGTERM drain gracefully.\n"
     "Clients can scrape the Prometheus metrics (incl. tenant= series) with\n"
-    "a MetricsReq frame: meraligner_client --socket S --metrics -.";
+    "a MetricsReq frame: meraligner_client --socket S --metrics -.\n"
+    "--sw picks the Smith-Waterman engine (default: batch, the pooled SIMD\n"
+    "screen with an anchored band traceback; full is the exact reference).\n"
+    "Every engine emits bit-identical SAM.";
 
 }  // namespace
 
