@@ -6,13 +6,17 @@
 // Sharing is per node (UPC shared memory with node affinity), so the shard is
 // mutex-protected — the paper's cache is likewise a shared node resource.
 // Eviction is clock-style: when full, a rotating cursor overwrites entries.
+//
+// Storage is flat: each node keeps one slot array that is the clock ring
+// itself, indexed by an open-addressed linear-probing table of slot numbers.
+// An eviction overwrites the victim's slot in place and reuses its hit
+// buffer, so a full cache inserts without allocating.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "dht/seed_index.hpp"
@@ -117,17 +121,31 @@ class SeedIndexCache {
   void load(std::istream& is);
 
  private:
-  struct Value {
+  struct Slot {
+    seq::Kmer seed;
     std::vector<dht::SeedHit> hits;
     std::uint32_t total = 0;
     std::uint32_t use_count = 0;  ///< lookup hits on this entry (admission)
   };
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_map<seq::Kmer, Value, KmerHasher> map;
-    std::vector<seq::Kmer> ring;  ///< insertion ring for clock eviction
+    std::vector<Slot> ring;  ///< one slot per clock position, in ring order
+    /// Linear-probing index over `ring`: each entry packs the low 32 bits of
+    /// the seed's mixed_hash (high word) and slot + 1 (low word); 0 = empty.
+    /// Power-of-two size, load factor <= 1/2, no tombstones.
+    std::vector<std::uint64_t> table;
     std::size_t cursor = 0;
     CacheCounters counters;
+
+    /// Ring slot holding `seed` (whose mixed_hash is `hash`), or SIZE_MAX.
+    [[nodiscard]] std::size_t find(const seq::Kmer& seed,
+                                   std::uint64_t hash) const;
+    /// Index ring slot `slot`, not yet in the table, under `hash`.
+    void place(std::uint64_t hash, std::size_t slot);
+    /// Remove ring slot `slot`'s table entry (backward-shift deletion).
+    void unindex(std::size_t slot);
+    /// Rebuild the table at `size` entries over the whole ring.
+    void reindex(std::size_t size);
   };
 
   std::size_t capacity_;

@@ -1,5 +1,6 @@
 #include "core/align_session.hpp"
 
+#include <numeric>
 #include <stdexcept>
 #include <unordered_set>
 #include <utility>
@@ -509,13 +510,17 @@ void add_batch_metrics(const BatchResult& res, const SessionConfig& cfg) {
   reg.counter("mera_sw_traceback_cells_total", sw_labels,
               "DP cells computed by the traceback kernels")
       .add(static_cast<double>(res.stats.traceback_cells));
-  // Aggregate throughput of this batch's align phase: summed cells over the
-  // phase's simulated parallel time (the paper's GCUPS axis).
-  const double align_s = res.report.time_of("align");
-  if (align_s > 0.0)
+  // Aggregate throughput of this batch's align phase: DP cells over the
+  // phase's measured thread-CPU seconds, summed over ranks.
+  double align_cpu_s = 0.0;
+  for (const pgas::PhaseEntry& ph : res.report.phases)
+    if (ph.name == "align")
+      align_cpu_s += std::accumulate(ph.cpu_s.begin(), ph.cpu_s.end(), 0.0);
+  if (align_cpu_s > 0.0)
     reg.gauge("mera_sw_gcups", sw_labels,
-              "Giga DP cells per second in the last batch's align phase")
-        .set(static_cast<double>(res.stats.sw_cells) / 1e9 / align_s);
+              "Giga DP cells per measured align CPU-second (summed over "
+              "ranks), last batch")
+        .set(static_cast<double>(res.stats.sw_cells) / 1e9 / align_cpu_s);
 
   // Lane occupancy of the inter-candidate engine: how full its SIMD sweeps
   // ran. The mode label separates cross-read pooled flushing from the

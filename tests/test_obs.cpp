@@ -468,6 +468,30 @@ TEST(ObsEndToEnd, ShardedSamBitIdenticalWithTracingOnOrOff) {
   Tracer::global().reset();
 }
 
+TEST(ObsEndToEnd, SwGcupsIsCellsPerMeasuredAlignCpuSecond) {
+  const Workload w = make_workload(60'000, 0.5);
+  pgas::Runtime rt(pgas::Topology(4, 2));
+  core::AlignSession session(
+      core::IndexedReference::build(rt, w.contigs, small_index()));
+  core::CountingSink sink;
+  const core::BatchResult res = session.align_batch(rt, w.reads, sink);
+
+  double align_cpu_s = 0.0;
+  for (const pgas::PhaseEntry& ph : res.report.phases)
+    if (ph.name == "align")
+      for (const double s : ph.cpu_s) align_cpu_s += s;
+  ASSERT_GT(align_cpu_s, 0.0);
+  ASSERT_GT(res.stats.sw_cells, 0u);
+  // Measured CPU, not the modeled phase time (which adds LogGP seconds).
+  EXPECT_NE(align_cpu_s, res.report.time_of("align"));
+
+  double gcups = 0.0;
+  ASSERT_TRUE(MetricsRegistry::global().value_of(
+      "mera_sw_gcups", {{"kernel", "full_dp"}, {"isa", "native"}}, gcups));
+  EXPECT_DOUBLE_EQ(gcups,
+                   static_cast<double>(res.stats.sw_cells) / 1e9 / align_cpu_s);
+}
+
 TEST(ObsEndToEnd, ShardedBatchPopulatesRegistry) {
   const Workload w = make_workload(120'000, 1.0);
   auto& reg = MetricsRegistry::global();
