@@ -1,8 +1,7 @@
 // Cross-read candidate pooling for the inter-candidate batch SW engine.
 //
-// BatchSwScorer fills lanes with whatever one flush holds — and the per-read
-// extension path flushes per read per strand, so a read with 3 candidates
-// wastes 61 of 64 AVX-512 lanes. This queue decouples flush granularity from
+// BatchSwScorer fills lanes with whatever one flush holds — flushing per read
+// per strand, a read with 3 candidates would waste 61 of 64 AVX-512 lanes. This queue decouples flush granularity from
 // read boundaries: candidates from MANY reads accumulate in buckets keyed by
 // query-length class (bounding the row-padding a mixed group pays), and a
 // bucket flushes through its multi-query BatchSwScorer only once it can fill
@@ -40,6 +39,8 @@ struct PooledQueueConfig {
   /// Candidates a bucket accumulates before it flushes through the SIMD
   /// scorer. 0 = auto: the resolved tier's 8-bit lane width (so every
   /// non-drain flush can fill a full lane group); 16 on the scalar tier.
+  /// AlignSession always uses auto; explicit values are for tests that sweep
+  /// flush timing.
   std::size_t flush_lanes = 0;
   /// Queries whose lengths fall in the same class of this width share a
   /// bucket (class id = qlen / width). Wider classes pool more aggressively

@@ -42,13 +42,13 @@ struct BatchShared {
 };
 
 /// One deferred-emission event of the cross-read pooled path, in the exact
-/// order the per-read path would have produced it. kPending slots hold a
+/// order the full-DP path would have produced it. kPending slots hold a
 /// candidate's provenance until its PooledExtensionQueue callback resolves
 /// them; kRecord slots (exact matches and anything else emitted inline) are
 /// born resolved; kReadEnd marks a read boundary so reads_aligned can be
 /// counted at replay time. A cursor emits the resolved prefix, which keeps
-/// sink order — and therefore SAM bytes — bit-identical to per-read
-/// flushing even though scoring happens out of order across reads.
+/// sink order — and therefore SAM bytes — bit-identical to the full-DP path
+/// even though scoring happens out of order across reads.
 struct PooledSlot {
   enum class Kind : std::uint8_t { kPending, kRecord, kReadEnd };
   Kind kind = Kind::kPending;
@@ -64,6 +64,23 @@ struct PooledSlot {
   std::size_t window_begin = 0, window_end = 0;
 };
 
+/// The record of one extension that passed the report threshold.
+AlignmentRecord record_of(const std::string& name, std::uint32_t target_id,
+                          bool reverse, const align::LocalAlignment& aln) {
+  AlignmentRecord rec;
+  rec.query_name = name;
+  rec.target_id = target_id;
+  rec.reverse = reverse;
+  rec.score = aln.score;
+  rec.q_begin = aln.q_begin;
+  rec.q_end = aln.q_end;
+  rec.t_begin = aln.t_begin;
+  rec.t_end = aln.t_end;
+  rec.cigar = aln.cigar.to_string();
+  rec.mismatches = aln.mismatches;
+  return rec;
+}
+
 /// Per-rank aligning-phase worker (seed-and-extend with caches, the Lemma-1
 /// fast path and the max-hits threshold — the second half of Algorithm 1).
 class RankAligner {
@@ -73,12 +90,10 @@ class RankAligner {
     min_score_ = sh.cfg.min_report_score >= 0
                      ? sh.cfg.min_report_score
                      : sh.cfg.extension.scoring.match * sh.k;
-    if (sh.cfg.extension.kernel == align::SwKernel::kBatch &&
-        sh.cfg.sw_pooling > 0) {
+    if (sh.cfg.extension.kernel == align::SwKernel::kBatch) {
       align::PooledQueueConfig qcfg;
       qcfg.scoring = sh.cfg.extension.scoring;
       qcfg.isa = sh.cfg.extension.isa;
-      qcfg.flush_lanes = sh.cfg.sw_pooling == 1 ? 0 : sh.cfg.sw_pooling;
       pool_.emplace(qcfg,
                     [this](std::uint64_t tag, const align::StripedResult& sr) {
                       resolve_slot(static_cast<std::size_t>(tag), sr);
@@ -109,12 +124,10 @@ class RankAligner {
   /// Batch end: force-score everything still pending, replay the tail of the
   /// emission log, and hand the rank's lane occupancy to the batch result.
   void finish() {
-    if (pool_) {
-      pool_->drain();
-      advance_cursor();
-      lane_stats_ += pool_->lane_stats();
-    }
-    sh_.lane_stats[static_cast<std::size_t>(rank_.id())] += lane_stats_;
+    if (!pool_) return;
+    pool_->drain();
+    advance_cursor();
+    sh_.lane_stats[static_cast<std::size_t>(rank_.id())] += pool_->lane_stats();
   }
 
  private:
@@ -127,18 +140,6 @@ class RankAligner {
     const bool has_n = oriented.find('N') != std::string::npos;
     const seq::PackedSeq qpacked(oriented);
     const auto qcodes = align::dna_codes(oriented);
-    // The striped profile is query-only state: built at most once per
-    // oriented query (lazily, on the first candidate — most junk reads never
-    // produce one) and reused across every candidate this strand probes.
-    std::optional<align::StripedSmithWaterman> striped;
-    // kBatch mode: candidates are buffered across the whole strand and
-    // screened in one inter-candidate SIMD sweep after the seed loop, so the
-    // lanes actually fill. Emission happens in buffer order, which is the
-    // per-candidate emission order — output is bit-identical to kStriped.
-    const bool batch_mode =
-        sh_.cfg.extension.kernel == align::SwKernel::kBatch;
-    std::vector<align::SeedCandidate> pending;
-    std::vector<std::uint32_t> pending_target_ids;
     // Pooled mode: this strand's query id in the rank queue, registered
     // lazily on the first candidate (duplicate query bytes dedup inside the
     // queue and share one striped profile).
@@ -199,13 +200,12 @@ class RankAligner {
             (static_cast<std::uint64_t>(diag + (1ll << 28)) >> 3);
         if (!seen_.insert(key).second) continue;
         const Target& t = fetch_target_cached(h.target_id);
-        if (batch_mode && pool_) {
-          // Cross-read pooling: account the candidate now (sw_calls at
-          // buffer time and sw_cells over the projected window, exactly as
-          // the per-read flush below does), then defer scoring into the
-          // rank's length-class-bucketed queue. Window codes are extracted
-          // here; the traceback re-reads the target at resolve time, and
-          // only for screen survivors.
+        if (pool_) {
+          // kBatch: account the candidate now (sw_calls, and sw_cells over
+          // the projected window, exactly as the full-DP path below does),
+          // then defer scoring into the rank's length-class-bucketed queue.
+          // Window codes are extracted here; the traceback re-reads the
+          // target at resolve time, and only for screen survivors.
           ++st_.sw_calls;
           if (!t.seq.empty()) {
             const align::SeedWindow w = align::project_seed_window(
@@ -234,70 +234,18 @@ class RankAligner {
           }
           continue;
         }
-        if (batch_mode) {
-          // Target sequences live in the session-lifetime TargetStore, so
-          // holding pointers across the seed loop is safe.
-          pending.push_back({&t.seq, q_off, h.t_pos});
-          pending_target_ids.push_back(h.target_id);
-          ++st_.sw_calls;
-          continue;
-        }
-        if (sh_.cfg.extension.kernel == align::SwKernel::kStriped && !striped)
-          striped.emplace(std::span<const std::uint8_t>(qcodes),
-                          sh_.cfg.extension.scoring);
         const auto ext =
             align::extend_seed(std::span<const std::uint8_t>(qcodes), t.seq,
-                               q_off, h.t_pos, k, sh_.cfg.extension,
-                               min_score_, striped ? &*striped : nullptr);
+                               q_off, h.t_pos, k, sh_.cfg.extension);
         ++st_.sw_calls;
         st_.sw_cells += static_cast<std::uint64_t>(
                             ext.window_end - ext.window_begin) *
                         qcodes.size();
         st_.traceback_cells += ext.traceback_cells;
-        if (ext.aln.score >= min_score_ && !ext.aln.empty()) {
-          AlignmentRecord rec;
-          rec.query_name = name;
-          rec.target_id = h.target_id;
-          rec.reverse = reverse;
-          rec.score = ext.aln.score;
-          rec.q_begin = ext.aln.q_begin;
-          rec.q_end = ext.aln.q_end;
-          rec.t_begin = ext.aln.t_begin;
-          rec.t_end = ext.aln.t_end;
-          rec.cigar = ext.aln.cigar.to_string();
-          rec.mismatches = ext.aln.mismatches;
-          emit(std::move(rec));
-        }
+        if (ext.aln.score >= min_score_ && !ext.aln.empty())
+          emit(record_of(name, h.target_id, reverse, ext.aln));
       }
     });
-    if (!pending.empty()) {
-      // (Exact-match success short-circuits before any candidate is
-      // buffered, so a non-empty queue implies the fast path didn't fire.)
-      const auto exts = align::extend_candidates(
-          std::span<const std::uint8_t>(qcodes), pending, k,
-          sh_.cfg.extension, min_score_, &lane_stats_);
-      for (std::size_t c = 0; c < exts.size(); ++c) {
-        const align::Extension& ext = exts[c];
-        st_.sw_cells += static_cast<std::uint64_t>(
-                            ext.window_end - ext.window_begin) *
-                        qcodes.size();
-        st_.traceback_cells += ext.traceback_cells;
-        if (ext.aln.score >= min_score_ && !ext.aln.empty()) {
-          AlignmentRecord rec;
-          rec.query_name = name;
-          rec.target_id = pending_target_ids[c];
-          rec.reverse = reverse;
-          rec.score = ext.aln.score;
-          rec.q_begin = ext.aln.q_begin;
-          rec.q_end = ext.aln.q_end;
-          rec.t_begin = ext.aln.t_begin;
-          rec.t_end = ext.aln.t_end;
-          rec.cigar = ext.aln.cigar.to_string();
-          rec.mismatches = ext.aln.mismatches;
-          emit(std::move(rec));
-        }
-      }
-    }
     return exact_done;
   }
 
@@ -361,9 +309,9 @@ class RankAligner {
   }
 
   /// PooledExtensionQueue callback: a deferred candidate got its screening
-  /// score. Survivors pay the anchored traceback now (same traceback, window
-  /// and thresholds as the per-read flush, so the record bytes are
-  /// identical).
+  /// score. Survivors pay the anchored traceback now (same window and
+  /// thresholds as the full-DP path, and the same alignment, so the record
+  /// bytes are identical).
   void resolve_slot(std::size_t idx, const align::StripedResult& sr) {
     PooledSlot& s = slots_[idx];
     s.resolved = true;
@@ -378,20 +326,11 @@ class RankAligner {
     aln.t_end += s.window_begin;
     if (aln.score < min_score_ || aln.empty()) return;
     s.has_record = true;
-    s.rec.query_name = s.read->name;
-    s.rec.target_id = s.target_id;
-    s.rec.reverse = s.reverse;
-    s.rec.score = aln.score;
-    s.rec.q_begin = aln.q_begin;
-    s.rec.q_end = aln.q_end;
-    s.rec.t_begin = aln.t_begin;
-    s.rec.t_end = aln.t_end;
-    s.rec.cigar = aln.cigar.to_string();
-    s.rec.mismatches = aln.mismatches;
+    s.rec = record_of(s.read->name, s.target_id, s.reverse, aln);
   }
 
   /// Emit the resolved prefix of the slot log, counting reads_aligned and
-  /// alignments_reported exactly where the per-read path would have.
+  /// alignments_reported exactly where the full-DP path would have.
   void advance_cursor() {
     while (cursor_ < slots_.size()) {
       PooledSlot& s = slots_[cursor_];
@@ -422,12 +361,11 @@ class RankAligner {
   std::unordered_set<std::uint64_t> seen_;
   std::size_t records_this_read_ = 0;
   int min_score_ = 0;
-  // Cross-read pooling state (SwKernel::kBatch with cfg.sw_pooling > 0).
+  // Cross-read pooling state (SwKernel::kBatch only).
   std::optional<align::PooledExtensionQueue> pool_;
   std::vector<PooledSlot> slots_;   ///< deferred emission log
   std::size_t cursor_ = 0;          ///< first unreplayed slot
   std::size_t cursor_records_ = 0;  ///< replayed records since last kReadEnd
-  align::LaneStats lane_stats_;     ///< this rank's kBatch lane occupancy
 };
 
 /// The per-batch SPMD body: io.reads + align against the prebuilt index.
@@ -497,11 +435,7 @@ void add_batch_metrics(const BatchResult& res, const SessionConfig& cfg) {
   bridge_cache("seed", res.seed_cache);
   bridge_cache("target", res.target_cache);
 
-  const obs::Labels sw_labels{
-      {"kernel", align::kernel_name(cfg.extension.kernel)},
-      {"isa", cfg.extension.kernel == align::SwKernel::kBatch
-                  ? align::isa_name(align::resolve_isa(cfg.extension.isa))
-                  : "native"}};
+  const obs::Labels sw_labels = sw_metric_labels(cfg.extension);
   reg.counter("mera_sw_calls_total", sw_labels,
               "Smith-Waterman extensions run")
       .add(static_cast<double>(res.stats.sw_calls));
@@ -522,14 +456,12 @@ void add_batch_metrics(const BatchResult& res, const SessionConfig& cfg) {
               "ranks), last batch")
         .set(static_cast<double>(res.stats.sw_cells) / 1e9 / align_cpu_s);
 
-  // Lane occupancy of the inter-candidate engine: how full its SIMD sweeps
-  // ran. The mode label separates cross-read pooled flushing from the
-  // per-read baseline so the pooling win is a one-query PromQL ratio.
+  // Lane occupancy of the inter-candidate engine: how full its pooled SIMD
+  // sweeps ran.
   if (cfg.extension.kernel == align::SwKernel::kBatch) {
     const align::LaneStats& ls = res.lane_stats;
     const obs::Labels lane_labels{
-        {"isa", align::isa_name(align::resolve_isa(cfg.extension.isa))},
-        {"mode", cfg.sw_pooling > 0 ? "pooled" : "per_read"}};
+        {"isa", align::isa_name(align::resolve_isa(cfg.extension.isa))}};
     reg.counter("mera_sw_lanes_filled_total", lane_labels,
                 "SIMD lanes carrying a live candidate in batch SW sweeps")
         .add(static_cast<double>(ls.lanes_filled));
@@ -551,6 +483,13 @@ void add_batch_metrics(const BatchResult& res, const SessionConfig& cfg) {
 }
 
 }  // namespace
+
+obs::Labels sw_metric_labels(const align::ExtensionConfig& ext) {
+  return {{"kernel", align::kernel_name(ext.kernel)},
+          {"isa", ext.kernel == align::SwKernel::kBatch
+                      ? align::isa_name(align::resolve_isa(ext.isa))
+                      : "native"}};
+}
 
 AlignSession::AlignSession(IndexedReference ref, SessionConfig cfg)
     : ref_(std::move(ref)), cfg_(std::move(cfg)) {

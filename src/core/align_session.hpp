@@ -1,7 +1,7 @@
 // The aligning layer of the session-based aligner API.
 //
 // An AlignSession binds query-side configuration (software caches, seed
-// thresholds, SW kernel backend, load balancing) to a prebuilt
+// thresholds, SW engine, load balancing) to a prebuilt
 // core::IndexedReference and aligns query batches against it, repeatedly:
 //
 //   auto ref = IndexedReference::build(rt, targets, icfg);   // pay once
@@ -30,6 +30,7 @@
 #include "core/alignment_sink.hpp"
 #include "core/indexed_reference.hpp"
 #include "core/stats.hpp"
+#include "obs/metrics.hpp"
 #include "pgas/runtime.hpp"
 #include "seq/fasta.hpp"
 
@@ -72,19 +73,15 @@ struct SessionConfig {
   // Aligning phase.
   std::size_t max_hits_per_seed = 32;  ///< Section IV-C threshold
   std::size_t seed_stride = 1;         ///< probe every seed_stride-th seed
-  align::ExtensionConfig extension{};  ///< incl. the SW kernel backend
+  /// incl. the SW engine: kFullDP extends each candidate inline; kBatch
+  /// pools candidates across reads into a per-rank
+  /// align::PooledExtensionQueue (auto flush threshold = the resolved tier's
+  /// 8-bit lane width) and replays results in exact per-read order, so
+  /// records, stats (bar traceback_cells) and SAM bytes equal kFullDP's.
+  align::ExtensionConfig extension{};
   /// Minimum score to report; -1 = auto (match score * k, i.e. at least the
   /// seed region must align).
   int min_report_score = -1;
-  /// Cross-read candidate pooling for SwKernel::kBatch (ignored by the other
-  /// kernels): 0 = off (flush per read per strand, the pre-pooling
-  /// behaviour); 1 = on with the auto flush threshold (the resolved tier's
-  /// 8-bit lane width); N >= 2 = on, flush a length-class bucket at N
-  /// pending candidates. Pooling defers scoring into a per-rank
-  /// align::PooledExtensionQueue and replays results in exact per-read
-  /// order, so records, stats and SAM bytes are bit-identical to 0 — only
-  /// lane occupancy (BatchResult::lane_stats) and seconds change.
-  std::size_t sw_pooling = 1;
 };
 
 /// Outcome of one align_batch() call.
@@ -97,9 +94,8 @@ struct BatchResult {
   cache::CacheCounters seed_cache;    ///< this batch's cache activity
   cache::CacheCounters target_cache;
   /// SIMD lane occupancy of this batch's SwKernel::kBatch sweeps, summed
-  /// over ranks (all-zero for other kernels). Deliberately outside
-  /// PipelineStats: pooled and per-read flushing produce identical
-  /// PipelineStats by contract but different lane shapes by design.
+  /// over ranks (all-zero under kFullDP). Deliberately outside
+  /// PipelineStats, which kBatch and kFullDP share by contract.
   align::LaneStats lane_stats;
 
   [[nodiscard]] double total_time_s() const { return report.total_time_s(); }
@@ -136,6 +132,10 @@ struct BasicFileStreamResult {
 };
 
 using FileStreamResult = BasicFileStreamResult<BatchResult>;
+
+/// The {kernel, isa} labels of the mera_sw_* series: isa is the resolved
+/// dispatch tier under kBatch and "native" under kFullDP.
+[[nodiscard]] obs::Labels sw_metric_labels(const align::ExtensionConfig& ext);
 
 class AlignSession {
  public:

@@ -14,7 +14,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "align/batch_sw.hpp"
 #include "core/batch_prefetcher.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -454,12 +453,8 @@ void Daemon::bridge_tenant_metrics(const std::string& tenant,
   bridge_cache("seed", seed);
   bridge_cache("target", target);
   const core::SessionConfig& cfg = session_.config();
-  const obs::Labels sw_labels{
-      {"kernel", align::kernel_name(cfg.extension.kernel)},
-      {"isa", cfg.extension.kernel == align::SwKernel::kBatch
-                  ? align::isa_name(align::resolve_isa(cfg.extension.isa))
-                  : "native"},
-      {"tenant", tenant}};
+  obs::Labels sw_labels = core::sw_metric_labels(cfg.extension);
+  sw_labels.emplace_back("tenant", tenant);
   reg.counter("mera_sw_calls_total", sw_labels,
               "Smith-Waterman extensions run")
       .add(static_cast<double>(res.stats.sw_calls));

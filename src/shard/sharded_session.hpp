@@ -93,7 +93,7 @@ struct ShardedBatchResult {
   /// Each shard's own BatchResult (per-shard stats, cache deltas, report).
   std::vector<core::BatchResult> per_shard;
   /// SwKernel::kBatch lane occupancy summed over shards (the per-shard
-  /// breakdown is in per_shard[s].lane_stats). All-zero for other kernels.
+  /// breakdown is in per_shard[s].lane_stats). All-zero under kFullDP.
   align::LaneStats lane_stats;
   /// Shards that actually ran concurrently for this batch (the resolved J).
   int shard_parallelism = 1;

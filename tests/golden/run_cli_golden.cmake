@@ -6,11 +6,9 @@
 #   WORKDIR - scratch directory for this run
 #
 # Scenarios:
-#   1. single batch, one run per --sw kernel (full/banded/striped/batch) and
-#      one with no --sw (the default engine): all must produce the SAME
-#      golden SAM — the banded, striped and batch kernels are exact over
-#      their windows, so kernel choice must not change output; --sw batch
-#      additionally runs once per pinned --sw-isa tier
+#   1. single batch, auto-dispatched and with --sw-isa scalar: both must
+#      produce the golden SAM, which the full-DP oracle produced; the
+#      removed --sw / --sw-pool flags must exit 2 with the usage text
 #   2. multi batch:   --reads reads_a --reads reads_b (one index, two batches)
 #                     -> the SAME record set, since per-read results depend
 #                     only on the prebuilt index, not on batch boundaries
@@ -72,25 +70,10 @@ function(check_sam produced label)
   check_sam_against(${produced} ${GOLDEN} "${label}")
 endfunction()
 
-# --- 1. single batch, all four SW kernel selectors ---------------------------
-foreach(sw full banded striped batch)
-  execute_process(
-    COMMAND ${CLI}
-      --targets ${WORKDIR}/contigs.fa
-      --reads ${WORKDIR}/reads.fastq
-      --out ${WORKDIR}/out_${sw}.sam
-      --k 31 --ranks 4 --ppn 2 --no-permute --sw ${sw}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "meraligner_cli --sw ${sw} exited with ${rc}\nstdout:\n${out}\nstderr:\n${err}")
-  endif()
-  check_sam(${WORKDIR}/out_${sw}.sam "single-batch --sw ${sw}")
-endforeach()
-
-# No --sw at all: the default engine (pooled batch with the anchored
-# traceback) must hit the same golden bytes as its --sw full oracle.
+# --- 1. single batch ----------------------------------------------------------
+# The pooled batch engine (SIMD screen + anchored band traceback, tier
+# auto-dispatched) must hit the golden bytes, which its full-DP oracle
+# produced.
 execute_process(
   COMMAND ${CLI}
     --targets ${WORKDIR}/contigs.fa
@@ -101,79 +84,48 @@ execute_process(
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "meraligner_cli without --sw exited with ${rc}\nstdout:\n${out}\nstderr:\n${err}")
+  message(FATAL_ERROR "single-batch meraligner_cli exited with ${rc}\nstdout:\n${out}\nstderr:\n${err}")
 endif()
 if(NOT err MATCHES "traceback cells")
   message(FATAL_ERROR "--stats did not print the traceback cells line:\n${err}")
 endif()
-check_sam(${WORKDIR}/out_default_sw.sam "single-batch, default --sw")
+check_sam(${WORKDIR}/out_default_sw.sam "single-batch")
 
-# The batch engine pinned to its scalar tier must still hit the golden bytes
-# (the SIMD tiers are covered by the loop above via auto-dispatch; scalar is
-# the one tier auto never picks on SIMD-capable CI hosts).
+# The engine pinned to its scalar tier must still hit the golden bytes
+# (scalar is the one tier auto never picks on SIMD-capable CI hosts).
 execute_process(
   COMMAND ${CLI}
     --targets ${WORKDIR}/contigs.fa
     --reads ${WORKDIR}/reads.fastq
     --out ${WORKDIR}/out_batch_scalar.sam
-    --k 31 --ranks 4 --ppn 2 --no-permute --sw batch --sw-isa scalar
+    --k 31 --ranks 4 --ppn 2 --no-permute --sw-isa scalar
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "--sw batch --sw-isa scalar exited with ${rc}\nstdout:\n${out}\nstderr:\n${err}")
+  message(FATAL_ERROR "--sw-isa scalar exited with ${rc}\nstdout:\n${out}\nstderr:\n${err}")
 endif()
-check_sam(${WORKDIR}/out_batch_scalar.sam "single-batch --sw batch --sw-isa scalar")
+check_sam(${WORKDIR}/out_batch_scalar.sam "single-batch --sw-isa scalar")
 
-# Cross-read pooling is on by default for --sw batch; disabling it and
-# forcing an odd explicit flush threshold must both still hit the golden
-# bytes — pooling changes flush timing, never output.
-foreach(pool off 5)
+# The removed engine selectors are unknown flags (exit 2 + usage), not
+# silently ignored.
+foreach(removed "--sw full" "--sw-pool on")
+  separate_arguments(removed_args UNIX_COMMAND "${removed}")
   execute_process(
     COMMAND ${CLI}
       --targets ${WORKDIR}/contigs.fa
       --reads ${WORKDIR}/reads.fastq
-      --out ${WORKDIR}/out_batch_pool_${pool}.sam
-      --k 31 --ranks 4 --ppn 2 --no-permute --sw batch --sw-pool ${pool}
-    RESULT_VARIABLE rc
-    OUTPUT_VARIABLE out
-    ERROR_VARIABLE err)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "--sw batch --sw-pool ${pool} exited with ${rc}\nstdout:\n${out}\nstderr:\n${err}")
-  endif()
-  check_sam(${WORKDIR}/out_batch_pool_${pool}.sam
-            "single-batch --sw batch --sw-pool ${pool}")
-endforeach()
-
-# --sw-pool validation: malformed thresholds are usage errors (exit 2 +
-# usage), and the flag is rejected outside --sw batch runs.
-foreach(bad 0 -4 lots)
-  execute_process(
-    COMMAND ${CLI}
-      --targets ${WORKDIR}/contigs.fa
-      --reads ${WORKDIR}/reads.fastq
-      --k 31 --ranks 4 --ppn 2 --sw batch --sw-pool ${bad}
+      --k 31 --ranks 4 --ppn 2 ${removed_args}
     RESULT_VARIABLE rc
     OUTPUT_VARIABLE out
     ERROR_VARIABLE err)
   if(NOT rc EQUAL 2)
-    message(FATAL_ERROR "--sw-pool ${bad} exited ${rc}, expected usage error 2")
+    message(FATAL_ERROR "${removed} exited ${rc}, expected usage error 2")
   endif()
-  if(NOT err MATCHES "sw-pool" OR NOT err MATCHES "meraligner --targets")
-    message(FATAL_ERROR "--sw-pool ${bad} did not print the usage message:\n${err}")
+  if(NOT err MATCHES "unknown flag" OR NOT err MATCHES "meraligner --targets")
+    message(FATAL_ERROR "${removed} did not print the usage message:\n${err}")
   endif()
 endforeach()
-execute_process(
-  COMMAND ${CLI}
-    --targets ${WORKDIR}/contigs.fa
-    --reads ${WORKDIR}/reads.fastq
-    --k 31 --ranks 4 --ppn 2 --sw striped --sw-pool on
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE out
-  ERROR_VARIABLE err)
-if(NOT rc EQUAL 2 OR NOT err MATCHES "requires --sw batch")
-  message(FATAL_ERROR "--sw-pool outside --sw batch was not rejected (rc=${rc}):\n${err}")
-endif()
 
 # --sw-isa help is a first-class query: print the tier table and exit 0,
 # before any input validation.
@@ -189,13 +141,12 @@ if(NOT out MATCHES "scalar" OR NOT out MATCHES "sse2")
   message(FATAL_ERROR "--sw-isa help did not print the tier table:\n${out}")
 endif()
 
-# --sw-isa validation: unknown tier names are usage errors (exit 2 + usage),
-# and the flag is rejected outside --sw batch runs.
+# --sw-isa validation: unknown tier names are usage errors (exit 2 + usage).
 execute_process(
   COMMAND ${CLI}
     --targets ${WORKDIR}/contigs.fa
     --reads ${WORKDIR}/reads.fastq
-    --k 31 --ranks 4 --ppn 2 --sw batch --sw-isa mmx
+    --k 31 --ranks 4 --ppn 2 --sw-isa mmx
   RESULT_VARIABLE rc
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)
@@ -205,22 +156,11 @@ endif()
 if(NOT err MATCHES "sw-isa" OR NOT err MATCHES "meraligner --targets")
   message(FATAL_ERROR "--sw-isa mmx did not print the usage message:\n${err}")
 endif()
-execute_process(
-  COMMAND ${CLI}
-    --targets ${WORKDIR}/contigs.fa
-    --reads ${WORKDIR}/reads.fastq
-    --k 31 --ranks 4 --ppn 2 --sw striped --sw-isa scalar
-  RESULT_VARIABLE rc
-  OUTPUT_VARIABLE out
-  ERROR_VARIABLE err)
-if(NOT rc EQUAL 2 OR NOT err MATCHES "requires --sw batch")
-  message(FATAL_ERROR "--sw-isa outside --sw batch was not rejected (rc=${rc}):\n${err}")
-endif()
 
 # The header must carry a spec-complete @PG line: program, version, and the
 # command line of the invocation that produced the file.
-file(READ ${WORKDIR}/out_full.sam full_sam)
-if(NOT full_sam MATCHES "@PG\tID:merAligner\tPN:meraligner\tVN:[^\n\t]+\tCL:[^\n]*--targets")
+file(READ ${WORKDIR}/out_default_sw.sam single_sam)
+if(NOT single_sam MATCHES "@PG\tID:merAligner\tPN:meraligner\tVN:[^\n\t]+\tCL:[^\n]*--targets")
   message(FATAL_ERROR "single-batch SAM lacks a @PG line with PN/VN/CL")
 endif()
 

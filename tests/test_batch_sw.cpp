@@ -18,14 +18,12 @@
 #include "align/extension.hpp"
 #include "align/smith_waterman.hpp"
 #include "align/striped_sw.hpp"
-#include "seq/packed_seq.hpp"
 
 namespace {
 
 using mera::testutil::random_dna;
 
 using namespace mera::align;
-using mera::seq::PackedSeq;
 
 /// Every concrete tier this binary + CPU can actually run (always includes
 /// kScalar). Tests sweep these so CI proves bit-identity on each.
@@ -452,67 +450,6 @@ TEST_P(BatchSwTiers, EndCellIsFirstInRowMajorOrderNotSmallestTEnd) {
   ASSERT_TRUE(r.end_cell.has_value());
   EXPECT_EQ(*r.end_cell, (SwEndCell{4, 12}));
   EXPECT_EQ(*r.end_cell, (SwEndCell{want.q_end, want.t_end}));
-}
-
-// extend_candidates(kBatch) must reproduce per-candidate extend_seed
-// (kStriped) exactly: same screening decisions, scores, coordinates.
-TEST(BatchExtension, MatchesPerCandidateExtendSeed) {
-  std::mt19937_64 rng(76);
-  const std::string g = random_dna(rng, 4000);
-  const PackedSeq target(g);
-  for (SwIsa isa : supported_tiers()) {
-    ExtensionConfig striped_cfg;
-    striped_cfg.kernel = SwKernel::kStriped;
-    ExtensionConfig batch_cfg;
-    batch_cfg.kernel = SwKernel::kBatch;
-    batch_cfg.isa = isa;
-    for (int trial = 0; trial < 10; ++trial) {
-      std::string q = g.substr(rng() % 3800, 100);
-      for (int e = 0; e < 4; ++e) q[rng() % q.size()] = "ACGT"[rng() & 3u];
-      const auto qc = dna_codes(q);
-      std::vector<SeedCandidate> cands;
-      for (int c = 0; c < 30; ++c)
-        cands.push_back({&target, 20 + rng() % 40, rng() % 3900});
-      const int screen = 30 + static_cast<int>(rng() % 100);
-      const auto got =
-          extend_candidates(std::span<const std::uint8_t>(qc), cands, 21,
-                            batch_cfg, screen);
-      ASSERT_EQ(got.size(), cands.size());
-      for (std::size_t c = 0; c < cands.size(); ++c) {
-        const auto want =
-            extend_seed(std::span<const std::uint8_t>(qc), *cands[c].target,
-                        cands[c].q_off, cands[c].t_off, 21, striped_cfg,
-                        screen);
-        ASSERT_EQ(got[c].aln.score, want.aln.score)
-            << isa_name(isa) << " trial=" << trial << " c=" << c;
-        ASSERT_EQ(got[c].aln.t_begin, want.aln.t_begin);
-        ASSERT_EQ(got[c].aln.t_end, want.aln.t_end);
-        ASSERT_EQ(got[c].aln.q_begin, want.aln.q_begin);
-        ASSERT_EQ(got[c].aln.q_end, want.aln.q_end);
-        ASSERT_EQ(got[c].aln.empty(), want.aln.empty());
-        ASSERT_EQ(got[c].window_begin, want.window_begin);
-        ASSERT_EQ(got[c].window_end, want.window_end);
-      }
-    }
-  }
-}
-
-TEST(BatchExtension, SingleCandidateKernelRoute) {
-  // extend_seed with SwKernel::kBatch (the one-off route) also matches.
-  std::mt19937_64 rng(77);
-  const std::string g = random_dna(rng, 1000);
-  const PackedSeq target(g);
-  const std::string q = g.substr(300, 90);
-  const auto qc = dna_codes(q);
-  ExtensionConfig batch_cfg;
-  batch_cfg.kernel = SwKernel::kBatch;
-  const auto got = extend_seed(std::span<const std::uint8_t>(qc), target, 20,
-                               320, 21, batch_cfg);
-  const auto want =
-      extend_seed(std::span<const std::uint8_t>(qc), target, 20, 320, 21, {});
-  EXPECT_EQ(got.aln.score, want.aln.score);
-  EXPECT_EQ(got.aln.t_begin, want.aln.t_begin);
-  EXPECT_EQ(got.aln.t_end, want.aln.t_end);
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 // flags (index, session, sharding) that meraligner and meralignerd share.
 #pragma once
 
-#include <cstdlib>
 #include <initializer_list>
 #include <map>
 #include <stdexcept>
@@ -101,16 +100,6 @@ class Args {
   std::vector<std::string> positional_;
 };
 
-inline align::SwKernel parse_kernel(const std::string& name) {
-  using align::SwKernel;
-  if (name == "full") return SwKernel::kFullDP;
-  if (name == "banded") return SwKernel::kBanded;
-  if (name == "striped") return SwKernel::kStriped;
-  if (name == "batch") return SwKernel::kBatch;
-  throw UsageError("--sw expects full|banded|striped|batch, got '" + name +
-                   "'");
-}
-
 /// --sw-isa: validated here so a typo or a tier this machine can't run is a
 /// usage error up front, not a mid-run exception from the first batch.
 inline align::SwIsa parse_sw_isa(const std::string& name) {
@@ -123,19 +112,6 @@ inline align::SwIsa parse_sw_isa(const std::string& name) {
         "--sw-isa " + name +
         ": tier not available (not compiled in or not supported by this CPU)");
   return *isa;
-}
-
-/// --sw-pool: cross-read candidate pooling for --sw batch. on = the auto
-/// flush threshold (the resolved tier's 8-bit lane width), off = flush per
-/// read, N >= 1 = explicit per-bucket flush threshold (1 == on).
-inline std::size_t parse_sw_pool(const std::string& v) {
-  if (v == "on") return 1;
-  if (v == "off") return 0;
-  char* end = nullptr;
-  const long n = std::strtol(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0' || n < 1)
-    throw UsageError("--sw-pool expects on|off|N (N >= 1), got '" + v + "'");
-  return static_cast<std::size_t>(n);
 }
 
 inline shard::ShardWeight parse_shard_weight(const std::string& name) {
@@ -191,19 +167,9 @@ inline EngineOptions parse_engine_options(const Args& args) {
   scfg.seed_cache = !args.has("no-seed-cache");
   scfg.target_cache = !args.has("no-target-cache");
   scfg.permute_queries = !args.has("no-permute");
-  // The pooled batch engine is the default; --sw full is its oracle.
-  scfg.extension.kernel = parse_kernel(args.get("sw", "batch"));
-  // Only the batch kernel dispatches on ISA and pools candidates.
-  if (args.has("sw-isa")) {
-    if (scfg.extension.kernel != align::SwKernel::kBatch)
-      throw UsageError("--sw-isa requires --sw batch");
-    scfg.extension.isa = parse_sw_isa(args.get("sw-isa"));
-  }
-  if (args.has("sw-pool")) {
-    if (scfg.extension.kernel != align::SwKernel::kBatch)
-      throw UsageError("--sw-pool requires --sw batch");
-    scfg.sw_pooling = parse_sw_pool(args.get("sw-pool"));
-  }
+  // Both tools run the pooled batch engine; kFullDP is the library's oracle.
+  scfg.extension.kernel = align::SwKernel::kBatch;
+  if (args.has("sw-isa")) scfg.extension.isa = parse_sw_isa(args.get("sw-isa"));
   scfg.cache_admission = args.has("cache-admission");
 
   const long shards = args.get_int("shards", 0);

@@ -4,8 +4,7 @@
 //   meraligner --targets contigs.fa --reads batch1.{fastq,sdb}
 //              [--reads batch2.fastq ...] [--out out.sam] [--k 51]
 //              [--ranks 8] [--ppn 4] [--S 1000] [--max-hits 32]
-//              [--fragment-len 1024] [--sw batch|full|banded|striped]
-//              [--sw-isa auto|...|help] [--sw-pool on|off|N] [--no-exact]
+//              [--fragment-len 1024] [--sw-isa auto|...|help] [--no-exact]
 //              [--no-seed-cache] [--no-target-cache] [--no-aggregation]
 //              [--no-permute] [--stats]
 //              [--shards K] [--shard-by cost|bases] [--shard-parallel J]
@@ -77,9 +76,8 @@ constexpr const char* kUsage =
     "meraligner --targets contigs.fa --reads batch1.{fastq,sdb}\n"
     "           [--reads batch2.fastq ...] [--out out.sam] [--k 51]\n"
     "           [--ranks 8] [--ppn 4] [--S 1000] [--max-hits 32]\n"
-    "           [--fragment-len 1024] [--sw batch|full|banded|striped]\n"
+    "           [--fragment-len 1024]\n"
     "           [--sw-isa auto|scalar|sse2|avx2|avx512|help]\n"
-    "           [--sw-pool on|off|N]\n"
     "           [--no-exact] [--no-seed-cache] [--no-target-cache]\n"
     "           [--no-aggregation] [--no-permute] [--stats]\n"
     "           [--shards K] [--shard-by cost|bases] [--shard-parallel J]\n"
@@ -101,22 +99,14 @@ constexpr const char* kUsage =
     "--load-cache DIR warm-starts from such a snapshot (same reference,\n"
     "topology and cost model required). Warm runs emit the same SAM bytes\n"
     "as cold ones — only the remote-lookup work changes.\n"
-    "--sw picks the Smith-Waterman engine (default: batch). batch screens\n"
-    "candidates in inter-candidate SIMD sweeps and traces back survivors in\n"
-    "a band anchored at the end cell the screen reports; full runs the exact\n"
-    "full-window DP on every candidate (the reference); banded and striped\n"
-    "are ablations. Every engine emits bit-identical SAM.\n"
-    "--sw-isa (or MERA_SW_ISA in the environment) pins the batch engine's\n"
-    "dispatch tier — the default auto picks the widest the CPU supports.\n"
+    "Seed candidates pool ACROSS reads into query-length-class buckets and\n"
+    "are screened in inter-candidate SIMD sweeps once a bucket can fill the\n"
+    "lanes; survivors trace back in a band anchored at the end cell the\n"
+    "screen reports, and records replay in exact per-read order.\n"
+    "--sw-isa (or MERA_SW_ISA in the environment) pins the SIMD dispatch\n"
+    "tier — the default auto picks the widest the CPU supports.\n"
     "Every tier emits bit-identical SAM. --sw-isa help (or MERA_SW_ISA=help)\n"
     "prints the tiers this build and CPU actually support, then exits.\n"
-    "--sw-pool pools candidates ACROSS reads into query-length-class buckets\n"
-    "and flushes a bucket through the batch engine only once it can fill the\n"
-    "tier's SIMD lanes (on = default, auto threshold; off = flush per read,\n"
-    "the pre-pooling behaviour; N = explicit per-bucket flush threshold).\n"
-    "Pooling replays results in exact per-read order, so SAM bytes and\n"
-    "stats are identical at every setting — only lane occupancy\n"
-    "(mera_sw_lane_* metrics) and seconds change.\n"
     "--trace FILE.json records a Chrome Trace Event timeline (open in\n"
     "chrome://tracing or ui.perfetto.dev); --metrics FILE dumps the metrics\n"
     "registry as JSON (--metrics-format prom for Prometheus text). Neither\n"
@@ -233,12 +223,12 @@ int main(int argc, char** argv) {
   }
   try {
     args.check_known({"targets", "reads", "out", "k", "ranks", "ppn", "S",
-                      "max-hits", "fragment-len", "sw", "sw-isa", "sw-pool",
-                      "no-exact", "no-seed-cache", "no-target-cache",
-                      "no-aggregation", "no-permute", "stats", "shards",
-                      "shard-by", "shard-parallel", "no-prefetch",
-                      "save-cache", "load-cache", "cache-admission", "trace",
-                      "metrics", "metrics-format", "quiet", "help"});
+                      "max-hits", "fragment-len", "sw-isa", "no-exact",
+                      "no-seed-cache", "no-target-cache", "no-aggregation",
+                      "no-permute", "stats", "shards", "shard-by",
+                      "shard-parallel", "no-prefetch", "save-cache",
+                      "load-cache", "cache-admission", "trace", "metrics",
+                      "metrics-format", "quiet", "help"});
     if (args.has("quiet")) obs::Log::set_level(obs::LogLevel::kError);
     const std::string trace_path = args.get("trace");
     if (args.has("trace") && (trace_path.empty() || trace_path == "1"))

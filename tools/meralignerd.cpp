@@ -3,8 +3,7 @@
 // Usage:
 //   meralignerd --targets contigs.fa --socket /run/mera.sock
 //               [--k 51] [--ranks 8] [--ppn 4] [--S 1000] [--max-hits 32]
-//               [--fragment-len 1024] [--sw batch|full|banded|striped]
-//               [--sw-isa auto|...] [--sw-pool on|off|N] [--no-exact]
+//               [--fragment-len 1024] [--sw-isa auto|...] [--no-exact]
 //               [--no-seed-cache] [--no-target-cache] [--no-aggregation]
 //               [--no-permute] [--cache-admission]
 //               [--shards K] [--shard-by cost|bases] [--shard-parallel J]
@@ -50,8 +49,8 @@ namespace {
 constexpr const char* kUsage =
     "meralignerd --targets contigs.fa --socket /run/mera.sock\n"
     "            [--k 51] [--ranks 8] [--ppn 4] [--S 1000] [--max-hits 32]\n"
-    "            [--fragment-len 1024] [--sw batch|full|banded|striped]\n"
-    "            [--sw-isa auto|scalar|sse2|avx2|avx512] [--sw-pool on|off|N]\n"
+    "            [--fragment-len 1024]\n"
+    "            [--sw-isa auto|scalar|sse2|avx2|avx512]\n"
     "            [--no-exact] [--no-seed-cache] [--no-target-cache]\n"
     "            [--no-aggregation] [--no-permute] [--cache-admission]\n"
     "            [--shards K] [--shard-by cost|bases] [--shard-parallel J]\n"
@@ -69,9 +68,8 @@ constexpr const char* kUsage =
     "warm-starts from that directory. SIGINT/SIGTERM drain gracefully.\n"
     "Clients can scrape the Prometheus metrics (incl. tenant= series) with\n"
     "a MetricsReq frame: meraligner_client --socket S --metrics -.\n"
-    "--sw picks the Smith-Waterman engine (default: batch, the pooled SIMD\n"
-    "screen with an anchored band traceback; full is the exact reference).\n"
-    "Every engine emits bit-identical SAM.";
+    "Seeds extend through the pooled SIMD screen with an anchored band\n"
+    "traceback; --sw-isa pins its dispatch tier (default: auto).";
 
 }  // namespace
 
@@ -85,12 +83,11 @@ int main(int argc, char** argv) {
   }
   try {
     args.check_known({"targets", "socket", "k", "ranks", "ppn", "S",
-                      "max-hits", "fragment-len", "sw", "sw-isa", "sw-pool",
-                      "no-exact", "no-seed-cache", "no-target-cache",
-                      "no-aggregation", "no-permute", "cache-admission",
-                      "shards", "shard-by", "shard-parallel", "cache-dir",
-                      "load-cache", "autosave", "max-frame-bytes", "quiet",
-                      "help"});
+                      "max-hits", "fragment-len", "sw-isa", "no-exact",
+                      "no-seed-cache", "no-target-cache", "no-aggregation",
+                      "no-permute", "cache-admission", "shards", "shard-by",
+                      "shard-parallel", "cache-dir", "load-cache", "autosave",
+                      "max-frame-bytes", "quiet", "help"});
     if (args.has("quiet")) obs::Log::set_level(obs::LogLevel::kError);
     const tools::EngineOptions engine = tools::parse_engine_options(args);
     const std::string socket_path = args.get("socket");
